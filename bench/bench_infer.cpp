@@ -1,20 +1,17 @@
 // bench_infer — surrogate inference-engine throughput (the PR-4 hot path).
 //
-// Four measurements on the paper-sized ChainNet (hidden 64, 8 iterations):
-//   1. single-stream forward_values placements/s, pre-fusion reference
-//      kernels vs the packed/blocked fused kernels (same weights; outputs
-//      are bit-identical, which this bench re-checks before timing);
+// Measurements on the paper-sized ChainNet (hidden 64, 8 iterations):
+//   1. single-stream placements/s: plan replay at B=1 (forward_values) vs
+//      the interpreted Algorithm-2 reference walk over the pre-fusion
+//      kernels (forward_values_interpreted) — same weights; outputs are
+//      bit-identical, which the parity gate re-checks before timing;
 //   2. batched forward_values_batch aggregate placements/s for
 //      B in {1,2,4,8,16,32} over prebuilt graphs;
-//   3. compiled execution plans (PR 7): one-time plan-compile cost for the
-//      scalar and batch-32 flavors, and plan replay vs the interpreted
-//      Algorithm-2 reference walk (CHAINNET_INTERPRET's executor) at B=1
-//      and B=32 — the parity gate first re-checks replay == interpreted
-//      bit for bit;
-//   4. end-to-end surrogate objective: pre-PR-equivalent scalar path
-//      (fresh build_graph allocation + reference kernels, one placement at
-//      a time) vs the current path (graph-workspace reuse + fused kernels +
-//      one batched plan replay over 32 placements);
+//   3. compiled execution plans: one-time plan-compile cost at widths 1
+//      and 32, and replay vs the interpreted walk at B=32;
+//   4. end-to-end surrogate objective: a scalar path (fresh build_graph
+//      allocation, one placement at a time) vs the batched path
+//      (graph-workspace reuse + one plan replay over 32 placements);
 //   5. reduced-precision tier (DESIGN.md §15): f32 single-stream and
 //      batched rates vs the f64 tier (same weights, converted once), plus
 //      an analytic bytes/placement + effective-GB/s estimate per batch
@@ -26,12 +23,17 @@
 //      below the committed thresholds — a reduced tier that misorders
 //      neighbors is a silent search-quality regression, not a speedup.
 //
-// Results print to stdout and are written machine-readable to
+// Replay and the interpreted walk are timed as interleaved repetitions
+// (replay, interpreted, replay, ...) so host drift lands on both sides
+// alike; each side reports the median and quartiles of its per-repetition
+// rates. Results print to stdout and are written machine-readable to
 // BENCH_infer.json (override with CHAINNET_INFER_OUT).
 //
 //   CHAINNET_INFER_DEVICES   problem size (default 16)
-//   CHAINNET_INFER_SECONDS   min seconds per timed loop (default 0.4)
+//   CHAINNET_INFER_SECONDS   min seconds per timed loop or per
+//                            interleaved side (default 0.4)
 //   CHAINNET_INFER_OUT       output JSON path (default BENCH_infer.json)
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -88,6 +90,66 @@ double time_rate(double min_seconds, int unit,
   return evaluated / elapsed;
 }
 
+/// Median and quartiles of per-repetition placements/s.
+struct Rates {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
+};
+
+/// Linear-interpolated quantile of sorted samples.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+Rates summarize(std::vector<double> rates) {
+  std::sort(rates.begin(), rates.end());
+  return {quantile(rates, 0.5), quantile(rates, 0.25), quantile(rates, 0.75)};
+}
+
+/// Times `a` and `b` as interleaved repetitions (a, b, a, b, ...) until
+/// each side has run at least min_reps times and min_seconds in total.
+/// Repetition r calls body(r), which evaluates `unit` placements.
+std::pair<Rates, Rates> time_interleaved(
+    double min_seconds, int unit, std::size_t min_reps,
+    const std::function<void(std::size_t)>& a,
+    const std::function<void(std::size_t)>& b) {
+  a(0);  // warm up both sides (packs weights, sizes workspaces)
+  b(0);
+  std::vector<double> rates_a, rates_b;
+  double total_a = 0.0, total_b = 0.0;
+  const auto run = [unit](const std::function<void(std::size_t)>& body,
+                          std::size_t r, std::vector<double>& rates,
+                          double& total) {
+    const auto start = Clock::now();
+    body(r);
+    const double s =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    total += s;
+    rates.push_back(unit / s);
+  };
+  for (std::size_t r = 0;
+       r < min_reps || total_a < min_seconds || total_b < min_seconds; ++r) {
+    run(a, r, rates_a, total_a);
+    run(b, r, rates_b, total_b);
+  }
+  return {summarize(std::move(rates_a)), summarize(std::move(rates_b))};
+}
+
+support::Json rates_json(const Rates& r) {
+  support::Json::Object o;
+  o["median"] = r.median;
+  o["q1"] = r.q1;
+  o["q3"] = r.q3;
+  return o;
+}
+
+void print_rates(const char* label, const Rates& r) {
+  std::printf("  %-34s %12.1f  [q1 %.1f, q3 %.1f]\n", label, r.median, r.q1,
+              r.q3);
+}
+
 /// Same SA-style visitation pattern the search drivers produce.
 std::vector<edge::Placement> walk_placements(const edge::EdgeSystem& system,
                                              int count,
@@ -136,22 +198,16 @@ int main() {
   const auto system = edge::generate_placement_problem(params, gen_rng);
 
   // Paper-sized model (Table IV): hidden 64, 8 message-passing iterations.
-  // Two instances from the same init seed — identical weights — differing
-  // only in kernel dispatch, so the speedup isolates the kernel change.
   const auto cfg = core::ChainNetConfig::paper();
-  auto cfg_ref = cfg;
-  cfg_ref.fused_kernels = false;
-  support::Rng init_ref(1);
-  core::ChainNet reference(cfg_ref, init_ref);
-  support::Rng init_fused(1);
-  core::ChainNet fused(cfg, init_fused);
+  support::Rng init(1);
+  core::ChainNet model(cfg, init);
 
   constexpr int kBatchMax = 32;
   const auto placements = walk_placements(system, kBatchMax);
   std::vector<edge::PlacementGraph> graphs;
   graphs.reserve(placements.size());
   for (const auto& p : placements) {
-    graphs.push_back(edge::build_graph(system, p, fused.feature_mode()));
+    graphs.push_back(edge::build_graph(system, p, model.feature_mode()));
   }
   std::vector<const edge::PlacementGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
@@ -162,22 +218,18 @@ int main() {
       cfg.hidden, cfg.iterations, system.num_chains(), system.num_devices(),
       tensor::kernels::isa());
 
-  // Parity gate: fused and batched outputs must be bit-identical to the
-  // reference kernels, and plan replay (which forward_values[_batch] now
-  // is) bit-identical to the interpreted Algorithm-2 walk, before any
+  // Parity gate: plan replay must be bit-identical to the interpreted
+  // Algorithm-2 walk over the pre-fusion kernels at B=1 and B=32, and
+  // every batch lane to the single-placement replay, before any
   // throughput number is worth reporting.
-  const auto ref_out = reference.forward_values(graphs[0]);
-  if (!same_outputs(ref_out, fused.forward_values(graphs[0])) ||
-      !same_outputs(ref_out, fused.forward_values_batch(ptrs)[0])) {
-    std::printf("PARITY FAILURE: fused/batched != reference — aborting\n");
-    return 1;
-  }
   // LINT:interpret(parity gate — replay must reproduce the reference walk)
-  const auto interp_out = fused.forward_values_interpreted(graphs[0]);
+  const auto interp_out = model.forward_values_interpreted(graphs[0]);
   // LINT:interpret(parity gate — batched replay vs reference walk)
-  const auto interp_batch = fused.forward_values_batch_interpreted(ptrs);
-  bool plan_parity = same_outputs(interp_out, fused.forward_values(graphs[0]));
-  const auto replay_batch = fused.forward_values_batch(ptrs);
+  const auto interp_batch = model.forward_values_batch_interpreted(ptrs);
+  const auto replay_out = model.forward_values(graphs[0]);
+  const auto replay_batch = model.forward_values_batch(ptrs);
+  bool plan_parity = same_outputs(interp_out, replay_out) &&
+                     same_outputs(replay_out, replay_batch[0]);
   for (std::size_t i = 0; i < ptrs.size(); ++i) {
     plan_parity = plan_parity && same_outputs(interp_batch[i], replay_batch[i]);
   }
@@ -185,20 +237,23 @@ int main() {
     std::printf("PARITY FAILURE: plan replay != interpreted — aborting\n");
     return 1;
   }
-  std::printf("parity: fused/batched bit-identical to reference; plan "
-              "replay bit-identical to interpreted walk\n\n");
+  std::printf("parity: plan replay bit-identical to the interpreted walk "
+              "at B=1 and B=32\n\n");
 
-  // 1. Single-stream kernels.
-  const double ref_rate = time_rate(min_seconds, kBatchMax, [&] {
-    for (const auto* g : ptrs) reference.forward_values(*g);
-  });
-  const double fused_rate = time_rate(min_seconds, kBatchMax, [&] {
-    for (const auto* g : ptrs) fused.forward_values(*g);
-  });
-  std::printf("single-stream forward_values (placements/s)\n");
-  std::printf("  %-22s %12.0f\n", "reference kernels", ref_rate);
-  std::printf("  %-22s %12.0f  (%.2fx)\n\n", "fused kernels", fused_rate,
-              fused_rate / ref_rate);
+  // 1. Single stream: one placement per repetition, cycling through the
+  //    walk; both sides of a pair score the same placement.
+  const auto [replay_b1, interp_b1] = time_interleaved(
+      min_seconds, 1, ptrs.size(),
+      [&](std::size_t r) { model.forward_values(*ptrs[r % ptrs.size()]); },
+      [&](std::size_t r) {
+        // LINT:interpret(benchmark baseline — timing the reference walk)
+        model.forward_values_interpreted(*ptrs[r % ptrs.size()]);
+      });
+  std::printf("single-stream (placements/s, median of interleaved reps)\n");
+  print_rates("interpreted walk B=1", interp_b1);
+  print_rates("plan replay B=1", replay_b1);
+  std::printf("  replay / interpreted: %.2fx\n\n",
+              replay_b1.median / interp_b1.median);
 
   // 2. Batched forward over prebuilt graphs.
   std::printf("batched forward_values_batch (aggregate placements/s)\n");
@@ -211,7 +266,7 @@ int main() {
     std::span<const edge::PlacementGraph* const> span(
         ptrs.data(), static_cast<std::size_t>(b));
     const double rate =
-        time_rate(min_seconds, b, [&] { fused.forward_values_batch(span); });
+        time_rate(min_seconds, b, [&] { model.forward_values_batch(span); });
     if (b == 1) b1_rate = rate;
     b_last_rate = rate;
     f64_batch_rates.emplace_back(b, rate);
@@ -224,10 +279,10 @@ int main() {
   }
   const double b32_vs_b1 = b_last_rate / b1_rate;
 
-  // 3. Compiled execution plans: one-time compile cost per flavor, then
-  //    replay vs the interpreted reference walk. Compile time is measured
-  //    on fresh compile_plan calls (the cache path is what production
-  //    hits, but the cost being amortized is exactly this).
+  // 3. Compiled execution plans: one-time compile cost per width, then
+  //    replay vs the interpreted reference walk at B=32. Compile time is
+  //    measured on fresh compile_plan calls (the cache path is what
+  //    production hits, but the cost being amortized is exactly this).
   gnn::PlanShape shape;
   shape.hidden = cfg.hidden;
   shape.iterations = cfg.iterations;
@@ -247,59 +302,55 @@ int main() {
   };
   const double compile_ms_b1 = compile_ms(1);
   const double compile_ms_b32 = compile_ms(kBatchMax);
-  const double interp_rate = time_rate(min_seconds, kBatchMax, [&] {
-    // LINT:interpret(benchmark baseline — timing the reference walk)
-    for (const auto* g : ptrs) fused.forward_values_interpreted(*g);
-  });
-  const double interp_b32_rate = time_rate(min_seconds, kBatchMax, [&] {
-    // LINT:interpret(benchmark baseline — timing the reference walk)
-    fused.forward_values_batch_interpreted(ptrs);
-  });
-  const double replay_b32_rate = b_last_rate;
+  constexpr std::size_t kBatchReps = 5;
+  const auto [replay_b32, interp_b32] = time_interleaved(
+      min_seconds, kBatchMax, kBatchReps,
+      [&](std::size_t) { model.forward_values_batch(ptrs); },
+      [&](std::size_t) {
+        // LINT:interpret(benchmark baseline — timing the reference walk)
+        model.forward_values_batch_interpreted(ptrs);
+      });
   std::printf("\ncompiled plans (replay vs interpreted reference)\n");
   std::printf("  %-34s %9.3f ms\n", "plan compile, width 1", compile_ms_b1);
   std::printf("  %-34s %9.3f ms\n", "plan compile, width 32", compile_ms_b32);
-  std::printf("  %-34s %12.0f\n", "interpreted B=1 (placements/s)",
-              interp_rate);
-  std::printf("  %-34s %12.0f  (%.2fx)\n", "plan replay B=1 (placements/s)",
-              fused_rate, fused_rate / interp_rate);
-  std::printf("  %-34s %12.0f\n", "interpreted B=32 (placements/s)",
-              interp_b32_rate);
-  std::printf("  %-34s %12.0f  (%.2fx)\n", "plan replay B=32 (placements/s)",
-              replay_b32_rate, replay_b32_rate / interp_b32_rate);
-  // One compile pays for itself after this many replayed placements.
-  const double amortize_after =
-      (compile_ms_b32 / 1e3) /
-      (1.0 / interp_b32_rate - 1.0 / replay_b32_rate);
-  if (amortize_after > 0) {
-    std::printf("  compile amortized after ~%.0f placements at B=32\n",
-                amortize_after);
+  print_rates("interpreted B=32 (placements/s)", interp_b32);
+  print_rates("plan replay B=32 (placements/s)", replay_b32);
+  std::printf("  replay / interpreted: %.2fx\n",
+              replay_b32.median / interp_b32.median);
+  // One compile pays for itself after this many replayed placements; only
+  // defined when replay is the faster executor.
+  const double saved_s_per_placement =
+      1.0 / interp_b32.median - 1.0 / replay_b32.median;
+  support::Json amortize_after;
+  if (saved_s_per_placement > 0.0) {
+    amortize_after = (compile_ms_b32 / 1e3) / saved_s_per_placement;
+    std::printf("  compile amortized after ~%.3g placements at B=32\n",
+                amortize_after.as_number());
   }
 
   // 4. End-to-end surrogate objective: what the optimizer actually calls.
-  //    Pre-PR equivalent = allocate a fresh graph per candidate and run the
-  //    reference scalar kernels; current = workspace reuse + one batched
-  //    fused forward.
+  //    Scalar = allocate a fresh graph per candidate and replay it alone;
+  //    batched = workspace reuse + one batched replay.
   const double e2e_scalar = time_rate(min_seconds, kBatchMax, [&] {
     for (const auto& p : placements) {
-      const auto graph = edge::build_graph(system, p, reference.feature_mode());
+      const auto graph = edge::build_graph(system, p, model.feature_mode());
       double total = 0.0;
-      for (const auto& perf : gnn::predict_physical(reference, graph)) {
+      for (const auto& perf : gnn::predict_physical(model, graph)) {
         total += perf.throughput;
       }
       (void)total;
     }
   });
-  core::Surrogate surrogate(fused);
+  core::Surrogate surrogate(model);
   std::vector<double> scores(placements.size());
   const double e2e_batched = time_rate(min_seconds, kBatchMax, [&] {
     surrogate.total_throughput_batch(system, placements, scores);
   });
   std::printf("\nend-to-end surrogate objective (placements/s)\n");
-  std::printf("  %-38s %12.0f\n", "pre-PR scalar (fresh graphs, reference)",
+  std::printf("  %-38s %12.0f\n", "scalar (fresh graphs, B=1 replay)",
               e2e_scalar);
   std::printf("  %-38s %12.0f  (%.2fx)\n",
-              "batched B=32 (workspace reuse, fused)", e2e_batched,
+              "batched B=32 (workspace reuse)", e2e_batched,
               e2e_batched / e2e_scalar);
 
   // 5. Reduced-precision tier: the same weights (same init seed) replayed
@@ -319,7 +370,7 @@ int main() {
   });
   std::printf("\nreduced-precision tier: f32 kernels + converted weights\n");
   std::printf("  single-stream %10.0f placements/s  (%.2fx vs f64)\n",
-              f32_single_rate, f32_single_rate / fused_rate);
+              f32_single_rate, f32_single_rate / replay_b1.median);
   std::printf("  %5s %14s %12s\n", "B", "placements/s", "vs f64");
   support::Json::Array f32_batch_rows;
   std::vector<std::pair<int, double>> f32_batch_rates;
@@ -349,7 +400,7 @@ int main() {
   // batch, plus the plan arena written and read once per replay. A model
   // of memory *demand*, not a counter measurement — good for comparing
   // tiers and batch widths, not for absolute DRAM numbers.
-  const std::size_t param_count = fused.parameter_count();
+  const std::size_t param_count = model.parameter_count();
   const auto traffic_row = [&](tensor::DType dtype, int b, double rate,
                                support::Json::Array& rows) {
     const std::size_t eb = tensor::dtype_element_bytes(dtype);
@@ -397,7 +448,7 @@ int main() {
   std::vector<double> obj_f64(gate_placements.size());
   std::vector<double> obj_f32(gate_placements.size());
   std::vector<double> obj_bf16(gate_placements.size());
-  core::Surrogate(fused).total_throughput_batch(system, gate_placements,
+  core::Surrogate(model).total_throughput_batch(system, gate_placements,
                                                 obj_f64);
   core::Surrogate(model_f32).total_throughput_batch(system, gate_placements,
                                                     obj_f32);
@@ -427,7 +478,7 @@ int main() {
   sa.max_steps = 2000;
   sa.seed = 404;
   const auto initial = optim::initial_placement(system);
-  core::Surrogate sur_f64(fused);
+  core::Surrogate sur_f64(model);
   optim::SurrogateEvaluator eval_f64(sur_f64);
   const auto sa_f64 = optim::anneal(system, initial, eval_f64, sa);
   core::Surrogate sur_f32(model_f32);
@@ -460,33 +511,31 @@ int main() {
   config["kernel_isa"] = tensor::kernels::isa();
   doc["config"] = std::move(config);
   support::Json::Object single;
-  single["reference_placements_per_s"] = ref_rate;
-  single["fused_placements_per_s"] = fused_rate;
-  single["speedup"] = fused_rate / ref_rate;
+  single["interpreted_b1_placements_per_s"] = rates_json(interp_b1);
+  single["replay_b1_placements_per_s"] = rates_json(replay_b1);
+  single["replay_vs_interpret_b1_speedup"] =
+      replay_b1.median / interp_b1.median;
   doc["single_stream"] = std::move(single);
   doc["batched"] = std::move(batch_rows);
   doc["batch32_vs_batch1_speedup"] = b32_vs_b1;
   support::Json::Object plan_sec;
   plan_sec["compile_ms_width1"] = compile_ms_b1;
   plan_sec["compile_ms_width32"] = compile_ms_b32;
-  plan_sec["interpreted_b1_placements_per_s"] = interp_rate;
-  plan_sec["replay_b1_placements_per_s"] = fused_rate;
-  plan_sec["replay_vs_interpret_b1_speedup"] = fused_rate / interp_rate;
-  plan_sec["interpreted_b32_placements_per_s"] = interp_b32_rate;
-  plan_sec["replay_b32_placements_per_s"] = replay_b32_rate;
+  plan_sec["interpreted_b32_placements_per_s"] = rates_json(interp_b32);
+  plan_sec["replay_b32_placements_per_s"] = rates_json(replay_b32);
   plan_sec["replay_vs_interpret_b32_speedup"] =
-      replay_b32_rate / interp_b32_rate;
+      replay_b32.median / interp_b32.median;
   plan_sec["compile_amortized_after_placements_b32"] = amortize_after;
   doc["plan"] = std::move(plan_sec);
   support::Json::Object e2e;
-  e2e["prepr_scalar_placements_per_s"] = e2e_scalar;
+  e2e["scalar_placements_per_s"] = e2e_scalar;
   e2e["batched32_placements_per_s"] = e2e_batched;
   e2e["speedup"] = e2e_batched / e2e_scalar;
   doc["end_to_end"] = std::move(e2e);
 
   support::Json::Object rp;
   rp["f32_single_stream_placements_per_s"] = f32_single_rate;
-  rp["f32_single_stream_vs_f64"] = f32_single_rate / fused_rate;
+  rp["f32_single_stream_vs_f64"] = f32_single_rate / replay_b1.median;
   rp["f32_batched"] = std::move(f32_batch_rows);
   rp["f32_b32_vs_f64_b32_speedup"] = f32_vs_f64_b32;
   const auto rank_json = [](const gnn::RankAgreement& r, double gate) {

@@ -339,9 +339,10 @@ PointResult run_point(const HarnessConfig& harness,
   std::sort(all.begin(), all.end());
   if (!all.empty()) {
     result.p50_ms = all[all.size() / 2];
-    result.p99_ms = all[std::min(all.size() - 1,
-                                 static_cast<std::size_t>(
-                                     std::ceil(0.99 * all.size())))];
+    // Nearest rank: the ceil(0.99 n)-th smallest sample, 1-based.
+    result.p99_ms = all[static_cast<std::size_t>(std::ceil(
+                            0.99 * static_cast<double>(all.size()))) -
+                        1];
   }
   return result;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full pre-merge gate: tier-0 static analysis (chainnet_lint), tier-1
-# build + tests, a plan-parity pass of the inference suites under
-# CHAINNET_INTERPRET=1, a bench_infer parity smoke, then both sanitizer
+# build + tests (which include the replay == interpreted parity suites on
+# every forced ISA tier), a bench_infer parity smoke, then both sanitizer
 # suites (scripts/check_asan.sh, scripts/check_tsan.sh).
 #
 # Usage: scripts/check_all.sh [extra ctest args...]
@@ -28,24 +28,12 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 
 echo
-echo "== plan parity: interpreted reference executor (CHAINNET_INTERPRET=1) =="
-# forward_values[_batch] replay compiled plans; plan_test (tier 1 above)
-# pins replay == interpreted bit for bit on every ablation and width. This
-# stage re-runs the numeric inference suites with CHAINNET_INTERPRET=1 so
-# the interpreted walk — the reference the plans are compiled from and the
-# escape hatch operators reach for — itself stays a complete executor that
-# matches forward() and the batch/scalar bitwise pins. plan_test is NOT in
-# this filter: its cache-counter assertions assume plan dispatch.
-CHAINNET_INTERPRET=1 ctest --test-dir build \
-  -R '(chainnet_inference|chainnet_batch)_test' --output-on-failure "$@"
-
-echo
 echo "== bench_infer smoke (parity + rank-fidelity gates) =="
-# bench_infer refuses to emit numbers unless the fused + batched paths
-# reproduce the reference forward bit-for-bit and plan replay reproduces
-# the interpreted walk, so a short run doubles as a parity check on the
-# exact host ISA tier in use. The same run evaluates the reduced-precision
-# tiers (f32, bf16 storage) against the f64 oracle: pairwise rank agreement
+# bench_infer refuses to emit numbers unless plan replay reproduces the
+# interpreted walk bit-for-bit at B=1 and B=32, so a short run doubles as a
+# parity check on the exact host ISA tier in use. The same run evaluates
+# the reduced-precision tiers (f32, bf16 storage) against the f64 oracle:
+# pairwise rank agreement
 # over sampled neighbor sets plus an SA objective-at-budget comparison,
 # exiting nonzero if either falls past the committed thresholds — so a
 # kernel or packing change that silently reorders placements fails here,

@@ -1,10 +1,13 @@
 #include "core/chainnet.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "gnn/plan.h"
 #include "tensor/kernels.h"
@@ -222,11 +225,13 @@ struct ChainNet::Impl : Module {
   // ------------------------------------------------------------------
   // Interpreted inference path: identical computation over raw buffers, no
   // autodiff graph. Kept structurally parallel to run() above; the
-  // equivalence is pinned by ChainNetFastInference tests. Since PR 7 this
-  // is the *reference executor*: production forwards replay a compiled
-  // plan (replay_scalar / replay_batch below), and plan_test pins replay
-  // bit-for-bit against this walk. Selected at runtime by
-  // CHAINNET_INTERPRET=1 or explicitly via forward_values_interpreted.
+  // equivalence is pinned by ChainNetFastInference tests. This is the
+  // *reference executor*: production forwards replay a compiled plan
+  // (replay<T> below), and plan_test pins replay bit-for-bit against this
+  // walk. It always runs the pre-fusion kernels (kernels::gemv_naive,
+  // GruCell::forward_values_reference), so the parity gates compare the
+  // plan executor against independent kernel code. Reached only through
+  // forward_values[_batch]_interpreted.
 
   using Vec = std::vector<double>;
 
@@ -274,30 +279,6 @@ struct ChainNet::Impl : Module {
                         x.size());
   }
 
-  /// Bias-free matvec through the blocked kernel, or the naive loop when
-  /// fused kernels are ablated. Bit-identical either way (same per-row
-  /// accumulation order).
-  void matvec_values(std::span<const double> w, std::span<const double> x,
-                     std::span<double> out) const {
-    if (config.fused_kernels) {
-      kernels::gemv(w.data(), nullptr, x.data(), out.data(), out.size(),
-                    x.size());
-    } else {
-      raw_matvec(w, x, out);
-    }
-  }
-
-  /// One GRU step through the packed/fused path, or the pre-fusion
-  /// six-GEMV reference when fused kernels are ablated.
-  void gru_values(const GruCell& cell, const Vec& h, const Vec& x,
-                  Vec& out) {
-    if (config.fused_kernels) {
-      cell.forward_values(h, x, out, ws_.gru);
-    } else {
-      cell.forward_values_reference(h, x, out, ws_.gru);
-    }
-  }
-
   /// f_multi over raw buffers; `out` has size 2H. Scratch lives in ws_.
   void aggregate_device_messages_values(const Vec& device_prev,
                                         std::span<const Vec> messages,
@@ -332,7 +313,7 @@ struct ChainNet::Impl : Module {
       for (std::size_t t = 0; t < messages.size(); ++t) {
         std::copy(messages[t].begin(), messages[t].end(),
                   joint.begin() + static_cast<std::ptrdiff_t>(h));
-        matvec_values(head.w_att.value(), joint, act);
+        raw_matvec(head.w_att.value(), joint, act);
         for (auto& v : act) v = v > 0.0 ? v : 0.2 * v;  // LeakyReLU(0.2)
         double score = 0.0;
         const auto alpha = head.alpha.value();
@@ -350,7 +331,7 @@ struct ChainNet::Impl : Module {
       // Weighted sum of transformed messages, averaged over heads.
       const double head_scale = 1.0 / static_cast<double>(attention.size());
       for (std::size_t t = 0; t < messages.size(); ++t) {
-        matvec_values(head.w_msg.value(), messages[t], transformed);
+        raw_matvec(head.w_msg.value(), messages[t], transformed);
         const double wgt = head_scale * weights[t] / denom;
         for (std::size_t j = 0; j < two_h; ++j) {
           out[j] += wgt * transformed[j];
@@ -400,14 +381,14 @@ struct ChainNet::Impl : Module {
                     ws.message.begin());
           std::copy(ws.device_prev[dn].begin(), ws.device_prev[dn].end(),
                     ws.message.begin() + static_cast<std::ptrdiff_t>(h));
-          gru_values(*phi_c, ws.hs, ws.message, ws.h_next);
+          phi_c->forward_values_reference(ws.hs, ws.message, ws.h_next, ws.gru);
           ws.hs.swap(ws.h_next);
           ws.service_at_step[su].assign(ws.hs.begin(), ws.hs.end());
           std::copy(ws.hs.begin(), ws.hs.end(), ws.message.begin());
           std::copy(ws.device_prev[dn].begin(), ws.device_prev[dn].end(),
                     ws.message.begin() + static_cast<std::ptrdiff_t>(h));
-          gru_values(*phi_f, ws.fragment_prev[su], ws.message,
-                     ws.fragment[su]);
+          phi_f->forward_values_reference(ws.fragment_prev[su], ws.message,
+                                          ws.fragment[su], ws.gru);
         }
         ws.service[i].assign(ws.hs.begin(), ws.hs.end());
       }
@@ -428,7 +409,8 @@ struct ChainNet::Impl : Module {
         aggregate_device_messages_values(
             ws.device_prev[dn],
             std::span<const Vec>(ws.messages.data(), steps.size()), ws.m_d);
-        gru_values(*phi_d, ws.device_prev[dn], ws.m_d, ws.device[dn]);
+        phi_d->forward_values_reference(ws.device_prev[dn], ws.m_d,
+                                        ws.device[dn], ws.gru);
       }
     }
 
@@ -457,16 +439,16 @@ struct ChainNet::Impl : Module {
   }
 
   // ------------------------------------------------------------------
-  // Batched inference: B placements of the same system lock-stepped
-  // through Algorithm 2. Chain/fragment state is batch-major — entity e
-  // keeps a row-major [H x B] panel with its B placements contiguous per
-  // row — so each GRU update is one GEMM with B columns. Device state is a
-  // single [H x D] panel, D = sum of per-placement used-device counts
-  // (device sets differ across placements), addressed through
-  // device_offset/device_col. Column b of every panel follows exactly the
-  // scalar run_values op sequence for graphs[b]; with the kernels'
-  // per-column accumulation-order guarantee that makes the batch
-  // bit-identical to B scalar passes (pinned by chainnet_batch_test).
+  // Interpreted batched inference: B placements of the same system
+  // lock-stepped through Algorithm 2. Chain/fragment state is batch-major
+  // — entity e keeps a row-major [H x B] panel with its B placements
+  // contiguous per row — so each GRU update is one GEMM with B columns.
+  // Device state is a single [H x D] panel, D = sum of per-placement
+  // used-device counts (device sets differ across placements), addressed
+  // through device_offset/device_col. Column b of every panel follows
+  // exactly the run_values_interpreted op sequence for graphs[b]; with the
+  // kernels' per-column accumulation-order guarantee that makes the batch
+  // bit-identical to B scalar passes (pinned by plan_test).
 
   struct BatchWorkspace {
     std::vector<Vec> service, fragment, fragment_prev;  // [entity] H x B
@@ -785,15 +767,26 @@ struct ChainNet::Impl : Module {
   }
 
   // ------------------------------------------------------------------
-  // Plan executor (PR 7). The interpreted walks above re-derive the op
-  // order per call; replay_scalar / replay_batch instead run a flat op
-  // list compiled once per (topology, shape, width) — see gnn/plan.h —
-  // over the same kernels, with every buffer an offset into one arena.
-  // The fragment/device panels are double-buffered across iterations
-  // (offsets baked per iteration by the compiler), which deletes the
-  // interpreted path's per-iteration snapshot copies; everything else is
-  // the identical kernel-call sequence, so replay is bit-for-bit equal to
-  // the reference executor (plan_test, bench_infer parity gate).
+  // Plan executor. The interpreted walks above re-derive the op order per
+  // call; replay<T> instead runs a flat op list compiled once per
+  // (topology, shape, width) — see gnn/plan.h — over the batched kernels,
+  // with every buffer an offset into one arena. A single placement is a
+  // batch of width 1: at B=1 every GRU update is still one GEMM over the
+  // batch's columns, attention scores all device messages in two panel
+  // GEMMs, and the readout runs over all chains at once. The fragment/
+  // device panels are double-buffered across iterations (offsets baked per
+  // iteration by the compiler), which deletes the interpreted path's
+  // per-iteration snapshot copies; everything else is the interpreted batch
+  // walk's kernel-call sequence, and the kernels' per-column accumulation
+  // order makes every width bit-for-bit equal to the reference executor
+  // (plan_test, bench_infer parity gate).
+  //
+  // One template serves every numeric tier (DESIGN.md §15): T = double for
+  // kF64, T = float for kF32 and kBf16. Only three things depend on T, each
+  // behind a helper below: the arena the plan's offsets index, the nn-layer
+  // overload (the f32 one takes config.dtype and reads the layer's
+  // converted weight cache), and where the attention weights come from.
+  // Outputs widen to double only at the ChainValues boundary.
 
   /// Plans resolve through this cache; EvalService / ModelRegistry inject
   /// a shared one so all workers reuse each other's compiles.
@@ -805,15 +798,18 @@ struct ChainNet::Impl : Module {
   static constexpr std::size_t kPlanMemoCap = 8;
   std::vector<std::shared_ptr<const gnn::Plan>> plan_memo_;
 
-  /// Replay-time state: the plan arena plus the placement-dependent device
-  /// geometry bound per batch replay (the same tables the interpreted
-  /// batch path rebuilds every call).
+  /// Replay-time state: the plan arenas (one per element type, grow-only)
+  /// plus the placement-dependent device geometry bound per replay (the
+  /// same tables the interpreted batch path rebuilds every call).
   struct PlanExec {
-    Vec arena;
+    std::vector<double> arena;
+    std::vector<float> arena_f32;
     std::vector<int> device_offset, device_col;
     std::vector<int> msg_step, msg_b, msg_col;
     std::vector<BatchWorkspace::Group> groups;
     bool any_multi = false;
+    Mlp::Scratch mlp;
+    GruCell::Scratch gru;
   };
   PlanExec px_;
 
@@ -842,197 +838,10 @@ struct ChainNet::Impl : Module {
     return plan;
   }
 
-  /// GRU step over arena spans, dispatched like gru_values.
-  void gru_span(const GruCell& cell, std::span<const double> h,
-                std::span<const double> x, std::span<double> out) {
-    if (config.fused_kernels) {
-      cell.forward_values(h, x, out, ws_.gru);
-    } else {
-      cell.forward_values_reference(h, x, out, ws_.gru);
-    }
-  }
-
-  /// f_multi over contiguous message rows (stride 2H); arithmetic mirrors
-  /// aggregate_device_messages_values line for line so replay stays
-  /// bit-identical to the reference executor.
-  void aggregate_device_messages_flat(std::span<const double> device_prev,
-                                      const double* msgs, std::size_t count,
-                                      std::span<double> out) {
-    const std::size_t two_h = out.size();
-    if (count == 1) {
-      std::copy_n(msgs, two_h, out.data());
-      return;
-    }
-    if (!config.attention_aggregation) {
-      std::fill(out.begin(), out.end(), 0.0);
-      for (std::size_t t = 0; t < count; ++t) {
-        const double* m = msgs + t * two_h;
-        for (std::size_t j = 0; j < two_h; ++j) out[j] += m[j];
-      }
-      const double inv = 1.0 / static_cast<double>(count);
-      for (auto& v : out) v *= inv;
-      return;
-    }
-    const std::size_t h = device_prev.size();
-    std::fill(out.begin(), out.end(), 0.0);
-    Vec& joint = ws_.joint;
-    Vec& act = ws_.act;
-    Vec& weights = ws_.att_weights;
-    Vec& transformed = ws_.transformed;
-    joint.resize(3 * h);
-    act.resize(h);
-    weights.resize(count);
-    transformed.resize(two_h);
-    std::copy(device_prev.begin(), device_prev.end(), joint.begin());
-    for (const auto& head : attention) {
-      for (std::size_t t = 0; t < count; ++t) {
-        const double* m = msgs + t * two_h;
-        std::copy_n(m, two_h, joint.begin() + static_cast<std::ptrdiff_t>(h));
-        matvec_values(head.w_att.value(), joint, act);
-        for (auto& v : act) v = v > 0.0 ? v : 0.2 * v;  // LeakyReLU(0.2)
-        double score = 0.0;
-        const auto alpha = head.alpha.value();
-        for (std::size_t j = 0; j < h; ++j) score += alpha[j] * act[j];
-        weights[t] = score;
-      }
-      double max_score = weights.front();
-      for (double s : weights) max_score = std::max(max_score, s);
-      double denom = 0.0;
-      for (auto& s : weights) {
-        s = std::exp(s - max_score);
-        denom += s;
-      }
-      const double head_scale = 1.0 / static_cast<double>(attention.size());
-      for (std::size_t t = 0; t < count; ++t) {
-        matvec_values(head.w_msg.value(),
-                      std::span<const double>(msgs + t * two_h, two_h),
-                      transformed);
-        const double wgt = head_scale * weights[t] / denom;
-        for (std::size_t j = 0; j < two_h; ++j) {
-          out[j] += wgt * transformed[j];
-        }
-      }
-    }
-  }
-
-  void fit_arena(std::int64_t elems) {
-    // Grow-only: alternating widths through one model must not thrash.
-    if (px_.arena.size() < static_cast<std::size_t>(elems)) {
-      px_.arena.resize(static_cast<std::size_t>(elems));
-    }
-  }
-
-  std::vector<gnn::ChainValues> replay_scalar(const PlacementGraph& g) {
-    const auto plan = plan_for(g, 1);
-    const gnn::Plan& p = *plan;
-    const gnn::PlanLayout& L = p.layout;
-    const auto h = static_cast<std::size_t>(config.hidden);
-    fit_arena(p.meta.scratch_elems);
-    double* A = px_.arena.data();
-    const std::span<double> m_c(A + L.m_c, 2 * h);
-    std::vector<gnn::ChainValues> outputs(
-        static_cast<std::size_t>(g.num_chains));
-    for (const gnn::PlanOp& op : p.ops) {
-      switch (op.kind) {
-        case gnn::PlanOpKind::kEncodeService: {
-          const std::span<double> out(A + op.out, h);
-          enc_service->forward_values(
-              g.service_features[static_cast<std::size_t>(op.a)], out);
-          apply_activation_values(out, Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kEncodeFragment: {
-          const std::span<double> out(A + op.out, h);
-          enc_fragment->forward_values(
-              g.fragment_features[static_cast<std::size_t>(op.a)], out);
-          apply_activation_values(out, Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kEncodeDevices: {
-          const auto nd = static_cast<std::size_t>(g.num_devices());
-          for (std::size_t dn = 0; dn < nd; ++dn) {
-            const std::span<double> out(A + op.out + dn * h, h);
-            enc_device->forward_values(g.device_features[dn], out);
-            apply_activation_values(out, Activation::kTanh);
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kGruChainStep: {
-          // m_c = [fragment_prev || device_prev] (eq. 6), phi_c into the
-          // step's sas row (eq. 4), then m_f reuses the bottom half and
-          // phi_f writes the fragment row of the opposite buffer (eq. 7).
-          const auto dn = static_cast<std::size_t>(
-              g.steps[static_cast<std::size_t>(op.a)].device_node);
-          std::copy_n(A + op.in1, h, m_c.data());
-          std::copy_n(A + op.aux + dn * h, h, m_c.data() + h);
-          double* sas_row =
-              A + L.sas + static_cast<std::size_t>(op.a) * h;
-          // Stage the carried chain state: for a single-step chain the
-          // carried row IS this step's sas row, and the GRU forbids
-          // h aliasing h_out.
-          std::copy_n(A + op.in0, h, A + L.hs);
-          gru_span(*phi_c, std::span<const double>(A + L.hs, h), m_c,
-                   std::span<double>(sas_row, h));
-          std::copy_n(sas_row, h, m_c.data());
-          gru_span(*phi_f, std::span<const double>(A + op.in1, h), m_c,
-                   std::span<double>(A + op.out, h));
-          break;
-        }
-        case gnn::PlanOpKind::kDevicePass: {
-          const auto nd = static_cast<std::size_t>(g.num_devices());
-          const std::span<double> m_d(A + L.m_d, 2 * h);
-          for (std::size_t dn = 0; dn < nd; ++dn) {
-            const auto& steps = g.device_node_steps[dn];
-            for (std::size_t t = 0; t < steps.size(); ++t) {
-              const auto su = static_cast<std::size_t>(steps[t]);
-              double* row = A + L.dmsgs + t * 2 * h;
-              std::copy_n(A + L.sas + su * h, h, row);
-              std::copy_n(A + op.in0 + su * h, h, row + h);
-            }
-            aggregate_device_messages_flat(
-                std::span<const double>(A + op.in1 + dn * h, h),
-                A + L.dmsgs, steps.size(), m_d);
-            gru_span(*phi_d,
-                     std::span<const double>(A + op.in1 + dn * h, h), m_d,
-                     std::span<double>(A + op.out + dn * h, h));
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kReadout: {
-          const auto iu = static_cast<std::size_t>(op.a);
-          const std::span<double> scalar(A + L.scalar_out, 1);
-          mlp_tput->forward_values(std::span<const double>(A + op.in0, h),
-                                   scalar, ws_.mlp);
-          outputs[iu].throughput = scalar[0];
-          outputs[iu].has_throughput = true;
-          double* hl = A + L.h_latency;
-          std::fill_n(hl, h, 0.0);
-          const auto& seq = p.key.topology.sequences[iu];
-          for (int s : seq) {
-            const double* f = A + op.in1 + static_cast<std::size_t>(s) * h;
-            for (std::size_t j = 0; j < h; ++j) hl[j] += f[j];
-          }
-          if (config.modified_outputs) {
-            const double inv = 1.0 / static_cast<double>(seq.size());
-            for (std::size_t j = 0; j < h; ++j) hl[j] *= inv;
-          }
-          mlp_latency->forward_values(std::span<const double>(hl, h), scalar,
-                                      ws_.mlp);
-          outputs[iu].latency = scalar[0];
-          outputs[iu].has_latency = true;
-          break;
-        }
-        default:
-          throw std::logic_error("batch op in a width-1 plan");
-      }
-    }
-    return outputs;
-  }
-
-  /// Binds the placement-dependent device geometry for a batch replay:
-  /// identical tables (and construction order) to the interpreted batch
-  /// path's per-call bookkeeping.
-  void bind_batch(std::span<const PlacementGraph* const> graphs) {
+  /// Binds the placement-dependent device geometry for a replay: identical
+  /// tables (and construction order) to the interpreted batch path's
+  /// per-call bookkeeping.
+  void bind(std::span<const PlacementGraph* const> graphs) {
     const std::size_t B = graphs.size();
     const PlacementGraph& g0 = *graphs.front();
     const auto S = static_cast<std::size_t>(g0.num_fragments());
@@ -1074,266 +883,38 @@ struct ChainNet::Impl : Module {
     }
   }
 
-  std::vector<std::vector<gnn::ChainValues>> replay_batch(
-      std::span<const PlacementGraph* const> graphs) {
-    const std::size_t B = graphs.size();
-    const PlacementGraph& g0 = *graphs.front();
-    const auto plan = plan_for(g0, static_cast<int>(B));
-    const gnn::Plan& p = *plan;
-    const gnn::PlanLayout& L = p.layout;
-    bind_batch(graphs);
-    const auto h = static_cast<std::size_t>(config.hidden);
-    const auto C = static_cast<std::size_t>(g0.num_chains);
-    const auto S = static_cast<std::size_t>(g0.num_fragments());
-    const std::size_t hW = h * B;
-    const auto D = static_cast<std::size_t>(px_.device_offset[B]);
-    const std::size_t M = S * B;
-    const bool use_attention = config.attention_aggregation && px_.any_multi;
-    const double head_scale = 1.0 / static_cast<double>(attention.size());
-    fit_arena(p.meta.scratch_elems);
-    double* A = px_.arena.data();
-    std::vector<std::vector<gnn::ChainValues>> outputs(B);
-    for (std::size_t b = 0; b < B; ++b) outputs[b].resize(C);
-    for (const gnn::PlanOp& op : p.ops) {
-      switch (op.kind) {
-        case gnn::PlanOpKind::kBatchEncodeService: {
-          double* enc_in = A + L.enc_in;
-          const auto iu = static_cast<std::size_t>(op.a);
-          const std::size_t dim = g0.service_features[iu].size();
-          for (std::size_t f = 0; f < dim; ++f) {
-            for (std::size_t b = 0; b < B; ++b) {
-              enc_in[f * B + b] = graphs[b]->service_features[iu][f];
-            }
-          }
-          enc_service->forward_values_batch(enc_in, A + op.out, B);
-          apply_activation_values(std::span<double>(A + op.out, hW),
-                                  Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kBatchEncodeFragment: {
-          double* enc_in = A + L.enc_in;
-          const auto su = static_cast<std::size_t>(op.a);
-          const std::size_t dim = g0.fragment_features[su].size();
-          for (std::size_t f = 0; f < dim; ++f) {
-            for (std::size_t b = 0; b < B; ++b) {
-              enc_in[f * B + b] = graphs[b]->fragment_features[su][f];
-            }
-          }
-          enc_fragment->forward_values_batch(enc_in, A + op.out, B);
-          apply_activation_values(std::span<double>(A + op.out, hW),
-                                  Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kBatchEncodeDevices: {
-          double* enc_in = A + L.enc_in;
-          for (std::size_t b = 0; b < B; ++b) {
-            const auto& g = *graphs[b];
-            for (int dn = 0; dn < g.num_devices(); ++dn) {
-              const std::size_t col =
-                  static_cast<std::size_t>(px_.device_offset[b] + dn);
-              for (std::size_t f = 0; f < g.device_features[dn].size();
-                   ++f) {
-                enc_in[f * D + col] = g.device_features[dn][f];
-              }
-            }
-          }
-          enc_device->forward_values_batch(enc_in, A + op.out, D);
-          apply_activation_values(std::span<double>(A + op.out, h * D),
-                                  Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kBatchGruChainStep: {
-          const auto su = static_cast<std::size_t>(op.a);
-          double* m_c = A + L.m_c;
-          std::copy_n(A + op.in1, hW, m_c);
-          const int* cols = px_.device_col.data() + su * B;
-          for (std::size_t r = 0; r < h; ++r) {
-            const double* src = A + op.aux + r * D;
-            double* dst = m_c + (h + r) * B;
-            for (std::size_t b = 0; b < B; ++b) dst[b] = src[cols[b]];
-          }
-          double* sas_row = A + L.sas + su * hW;
-          // Stage the carried chain state (see replay_scalar): a
-          // single-step chain's carried panel is this sas panel, and the
-          // batched GRU forbids h aliasing h_out.
-          std::copy_n(A + op.in0, hW, A + L.hs);
-          phi_c->forward_values_batch(A + L.hs, m_c, sas_row, B, bws_.gru);
-          std::copy_n(sas_row, hW, m_c);
-          phi_f->forward_values_batch(A + op.in1, m_c, A + op.out, B,
-                                      bws_.gru);
-          break;
-        }
-        case gnn::PlanOpKind::kBatchGatherMessages: {
-          const double* sas = A + L.sas;
-          const double* fr = A + op.in0;
-          for (std::size_t r = 0; r < h; ++r) {
-            double* top = A + L.messages + r * M;
-            double* bot = A + L.messages + (h + r) * M;
-            for (std::size_t m = 0; m < M; ++m) {
-              const auto step = static_cast<std::size_t>(px_.msg_step[m]);
-              const std::size_t idx =
-                  r * B + static_cast<std::size_t>(px_.msg_b[m]);
-              top[m] = sas[step * hW + idx];
-              bot[m] = fr[step * hW + idx];
-            }
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kBatchAggregateInit: {
-          for (const BatchWorkspace::Group& grp : px_.groups) {
-            double* dst = A + L.m_d + grp.col;
-            if (grp.count == 1) {
-              const double* src = A + L.messages + grp.start;
-              for (std::size_t r = 0; r < 2 * h; ++r) dst[r * D] = src[r * M];
-            } else if (!config.attention_aggregation) {
-              const double inv = 1.0 / static_cast<double>(grp.count);
-              for (std::size_t r = 0; r < 2 * h; ++r) {
-                const double* src = A + L.messages + r * M + grp.start;
-                double acc = 0.0;
-                for (int t = 0; t < grp.count; ++t) acc += src[t];
-                dst[r * D] = acc * inv;
-              }
-            } else {
-              for (std::size_t r = 0; r < 2 * h; ++r) dst[r * D] = 0.0;
-            }
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kBatchAttentionJoints: {
-          // No multi-step device anywhere in the batch: every group was
-          // fully aggregated by the count==1 copies, skip the attention
-          // panels entirely (matches the interpreted use_attention gate).
-          if (!use_attention) break;
-          for (std::size_t r = 0; r < h; ++r) {
-            const double* src = A + op.in1 + r * D;
-            double* dst = A + L.joints + r * M;
-            for (std::size_t m = 0; m < M; ++m) {
-              dst[m] = src[px_.msg_col[m]];
-            }
-          }
-          std::copy_n(A + L.messages, 2 * h * M, A + L.joints + h * M);
-          break;
-        }
-        case gnn::PlanOpKind::kBatchAttentionHead: {
-          if (!use_attention) break;
-          const auto& head = attention[static_cast<std::size_t>(op.a)];
-          double* att_act = A + L.att_act;
-          double* scores = A + L.scores;
-          kernels::gemm(head.w_att.value().data(), nullptr, A + L.joints,
-                        att_act, h, 3 * h, M);
-          for (std::size_t j = 0; j < h * M; ++j) {
-            att_act[j] = att_act[j] > 0.0 ? att_act[j] : 0.2 * att_act[j];
-          }
-          std::fill_n(scores, M, 0.0);
-          const auto alpha = head.alpha.value();
-          for (std::size_t j = 0; j < h; ++j) {
-            const double a = alpha[j];
-            const double* row = att_act + j * M;
-            for (std::size_t m = 0; m < M; ++m) scores[m] += a * row[m];
-          }
-          kernels::gemm(head.w_msg.value().data(), nullptr, A + L.messages,
-                        A + L.transformed, 2 * h, 2 * h, M);
-          for (const BatchWorkspace::Group& grp : px_.groups) {
-            if (grp.count <= 1) continue;
-            double* sc = scores + grp.start;
-            double max_score = sc[0];
-            for (int t = 0; t < grp.count; ++t) {
-              max_score = std::max(max_score, sc[t]);
-            }
-            double denom = 0.0;
-            for (int t = 0; t < grp.count; ++t) {
-              sc[t] = std::exp(sc[t] - max_score);
-              denom += sc[t];
-            }
-            double* dst = A + L.m_d + grp.col;
-            for (int t = 0; t < grp.count; ++t) {
-              const double wgt = head_scale * sc[t] / denom;
-              const double* src = A + L.transformed + grp.start +
-                                  static_cast<std::size_t>(t);
-              for (std::size_t r = 0; r < 2 * h; ++r) {
-                dst[r * D] += wgt * src[r * M];
-              }
-            }
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kBatchGruDevice: {
-          phi_d->forward_values_batch(A + op.in0, A + L.m_d, A + op.out, D,
-                                      bws_.gru);
-          break;
-        }
-        case gnn::PlanOpKind::kBatchReadout: {
-          const std::size_t CB = C * B;
-          double* ro_in = A + L.readout_in;
-          double* ro_out = A + L.readout_out;
-          for (std::size_t i = 0; i < C; ++i) {
-            const double* src = A + p.chain_final[i];
-            for (std::size_t r = 0; r < h; ++r) {
-              std::copy_n(src + r * B, B, ro_in + r * CB + i * B);
-            }
-          }
-          mlp_tput->forward_values_batch(ro_in, ro_out, CB, bws_.mlp);
-          for (std::size_t i = 0; i < C; ++i) {
-            for (std::size_t b = 0; b < B; ++b) {
-              outputs[b][i].throughput = ro_out[i * B + b];
-              outputs[b][i].has_throughput = true;
-            }
-          }
-          for (std::size_t i = 0; i < C; ++i) {
-            const auto& seq = p.key.topology.sequences[i];
-            for (std::size_t r = 0; r < h; ++r) {
-              double* dst = ro_in + r * CB + i * B;
-              std::fill_n(dst, B, 0.0);
-              for (int s : seq) {
-                const double* f =
-                    A + op.in1 + static_cast<std::size_t>(s) * hW + r * B;
-                for (std::size_t b = 0; b < B; ++b) dst[b] += f[b];
-              }
-              if (config.modified_outputs) {
-                const double inv = 1.0 / static_cast<double>(seq.size());
-                for (std::size_t b = 0; b < B; ++b) dst[b] *= inv;
-              }
-            }
-          }
-          mlp_latency->forward_values_batch(ro_in, ro_out, CB, bws_.mlp);
-          for (std::size_t i = 0; i < C; ++i) {
-            for (std::size_t b = 0; b < B; ++b) {
-              outputs[b][i].latency = ro_out[i * B + b];
-              outputs[b][i].has_latency = true;
-            }
-          }
-          break;
-        }
-        default:
-          throw std::logic_error("scalar op in a batched plan");
-      }
+  /// The replay arena of element type T, grown to `elems` (grow-only:
+  /// alternating widths through one model must not thrash).
+  template <typename T>
+  T* arena(std::int64_t elems) {
+    std::vector<T>* buffer = nullptr;
+    if constexpr (std::is_same_v<T, double>) {
+      buffer = &px_.arena;
+    } else {
+      buffer = &px_.arena_f32;
     }
-    return outputs;
+    if (buffer->size() < static_cast<std::size_t>(elems)) {
+      buffer->resize(static_cast<std::size_t>(elems));
+    }
+    return buffer->data();
   }
 
-  // ------------------------------------------------------------------
-  // Reduced-precision replay tier (DESIGN.md §15). replay_scalar_f32 /
-  // replay_batch_f32 are line-for-line float mirrors of the f64 executors
-  // above — deliberately duplicated rather than templated so the f64 path
-  // stays textually untouched (its bit-identity to the pre-tier engine is
-  // part of the serving contract). Differences from the f64 mirrors:
-  //  * all arithmetic and storage is float; weights come from the lazily
-  //    converted caches (nn.h) and the per-head caches below, bf16-rounded
-  //    when config.dtype is kBf16 (weights only — activations and graph
-  //    features stay plain f32);
-  //  * the tier always dispatches the fused kernel table (there is no
-  //    pre-fusion f32 reference path; within-tier parity is pinned by
-  //    kernels_f32_test instead);
-  //  * outputs widen to double only at the ChainValues boundary.
-  // The tier is gated on ranking fidelity against f64, not bit parity
-  // (bench_infer rank gate).
-
-  using VecF = std::vector<float>;
+  /// Calls a layer's batched inference overload on T panels: the f64 one
+  /// reads the master weights, the f32 one the layer's weight cache for
+  /// config.dtype (bf16-rounded when the tier is kBf16).
+  template <typename T, typename Layer, typename... Args>
+  void layer_batch(const Layer& layer, Args&&... args) const {
+    if constexpr (std::is_same_v<T, double>) {
+      layer.forward_values_batch(std::forward<Args>(args)...);
+    } else {
+      layer.forward_values_batch(std::forward<Args>(args)..., config.dtype);
+    }
+  }
 
   /// Lazily converted f32 copy of one attention parameter, version-checked
   /// like the nn-layer weight caches.
   struct VarF32 {
-    VecF data;
+    std::vector<float> data;
     std::uint64_t version = 0;
     DType storage = DType::kF32;
     bool ready = false;
@@ -1364,219 +945,46 @@ struct ChainNet::Impl : Module {
     return cache.data.data();
   }
 
-  std::array<VarF32, 3>& head_cache(std::size_t head) {
-    if (attention_f32_.size() < attention.size()) {
-      attention_f32_.resize(attention.size());
-    }
-    return attention_f32_[head];
-  }
-
-  /// f32-tier replay state: the float arena plus the scalar path's small
-  /// staging buffers. Geometry tables are dtype-independent and shared
-  /// through px_ (bind_batch).
-  struct PlanExecF32 {
-    VecF arena;
-    VecF feat;  ///< converted graph-feature staging row
-    VecF joint, act, weights, transformed;  ///< scalar attention scratch
+  template <typename T>
+  struct HeadWeights {
+    const T* w_att;
+    const T* alpha;
+    const T* w_msg;
   };
-  PlanExecF32 pxf_;
 
-  void fit_arena_f32(std::int64_t elems) {
-    if (pxf_.arena.size() < static_cast<std::size_t>(elems)) {
-      pxf_.arena.resize(static_cast<std::size_t>(elems));
+  /// Attention head `a`'s parameters as T: the master weights themselves
+  /// in f64, the converted per-head caches in f32.
+  template <typename T>
+  HeadWeights<T> head_weights(std::size_t a) {
+    const AttentionHead& head = attention[a];
+    if constexpr (std::is_same_v<T, double>) {
+      return {head.w_att.value().data(), head.alpha.value().data(),
+              head.w_msg.value().data()};
+    } else {
+      if (attention_f32_.size() < attention.size()) {
+        attention_f32_.resize(attention.size());
+      }
+      auto& cache = attention_f32_[a];
+      return {var_f32(head.w_att, cache[0]), var_f32(head.alpha, cache[1]),
+              var_f32(head.w_msg, cache[2])};
     }
   }
 
-  /// Graph features are published as doubles; the f32 tier narrows them on
-  /// the way into the encoders (plain round-to-nearest, never bf16).
-  std::span<const float> feat_f32(std::span<const double> src) {
-    pxf_.feat.resize(src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      pxf_.feat[i] = static_cast<float>(src[i]);
-    }
-    return {pxf_.feat.data(), src.size()};
+  std::vector<std::vector<gnn::ChainValues>> replay(
+      std::span<const PlacementGraph* const> graphs) {
+    if (config.dtype == DType::kF64) return replay<double>(graphs);
+    return replay<float>(graphs);
   }
 
-  void gru_span_f32(const GruCell& cell, std::span<const float> h,
-                    std::span<const float> x, std::span<float> out) {
-    cell.forward_values(h, x, out, ws_.gru, config.dtype);
-  }
-
-  /// Float mirror of aggregate_device_messages_flat.
-  void aggregate_device_messages_flat_f32(std::span<const float> device_prev,
-                                          const float* msgs,
-                                          std::size_t count,
-                                          std::span<float> out) {
-    const std::size_t two_h = out.size();
-    if (count == 1) {
-      std::copy_n(msgs, two_h, out.data());
-      return;
-    }
-    if (!config.attention_aggregation) {
-      std::fill(out.begin(), out.end(), 0.0f);
-      for (std::size_t t = 0; t < count; ++t) {
-        const float* m = msgs + t * two_h;
-        for (std::size_t j = 0; j < two_h; ++j) out[j] += m[j];
-      }
-      const float inv = 1.0f / static_cast<float>(count);
-      for (auto& v : out) v *= inv;
-      return;
-    }
-    const std::size_t h = device_prev.size();
-    std::fill(out.begin(), out.end(), 0.0f);
-    VecF& joint = pxf_.joint;
-    VecF& act = pxf_.act;
-    VecF& weights = pxf_.weights;
-    VecF& transformed = pxf_.transformed;
-    joint.resize(3 * h);
-    act.resize(h);
-    weights.resize(count);
-    transformed.resize(two_h);
-    std::copy(device_prev.begin(), device_prev.end(), joint.begin());
-    for (std::size_t a = 0; a < attention.size(); ++a) {
-      auto& cache = head_cache(a);
-      const float* w_att = var_f32(attention[a].w_att, cache[0]);
-      const float* alpha = var_f32(attention[a].alpha, cache[1]);
-      const float* w_msg = var_f32(attention[a].w_msg, cache[2]);
-      for (std::size_t t = 0; t < count; ++t) {
-        const float* m = msgs + t * two_h;
-        std::copy_n(m, two_h, joint.begin() + static_cast<std::ptrdiff_t>(h));
-        kernels::gemv(w_att, nullptr, joint.data(), act.data(), h, 3 * h);
-        for (auto& v : act) v = v > 0.0f ? v : 0.2f * v;  // LeakyReLU(0.2)
-        float score = 0.0f;
-        for (std::size_t j = 0; j < h; ++j) score += alpha[j] * act[j];
-        weights[t] = score;
-      }
-      float max_score = weights.front();
-      for (float s : weights) max_score = std::max(max_score, s);
-      float denom = 0.0f;
-      for (auto& s : weights) {
-        s = std::exp(s - max_score);
-        denom += s;
-      }
-      const float head_scale = 1.0f / static_cast<float>(attention.size());
-      for (std::size_t t = 0; t < count; ++t) {
-        kernels::gemv(w_msg, nullptr, msgs + t * two_h, transformed.data(),
-                      two_h, two_h);
-        const float wgt = head_scale * weights[t] / denom;
-        for (std::size_t j = 0; j < two_h; ++j) {
-          out[j] += wgt * transformed[j];
-        }
-      }
-    }
-  }
-
-  std::vector<gnn::ChainValues> replay_scalar_f32(const PlacementGraph& g) {
-    const auto plan = plan_for(g, 1);
-    const gnn::Plan& p = *plan;
-    const gnn::PlanLayout& L = p.layout;
-    const auto h = static_cast<std::size_t>(config.hidden);
-    fit_arena_f32(p.meta.scratch_elems);
-    float* A = pxf_.arena.data();
-    const std::span<float> m_c(A + L.m_c, 2 * h);
-    std::vector<gnn::ChainValues> outputs(
-        static_cast<std::size_t>(g.num_chains));
-    for (const gnn::PlanOp& op : p.ops) {
-      switch (op.kind) {
-        case gnn::PlanOpKind::kEncodeService: {
-          const std::span<float> out(A + op.out, h);
-          enc_service->forward_values(
-              feat_f32(g.service_features[static_cast<std::size_t>(op.a)]),
-              out, config.dtype);
-          apply_activation_values(out, Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kEncodeFragment: {
-          const std::span<float> out(A + op.out, h);
-          enc_fragment->forward_values(
-              feat_f32(g.fragment_features[static_cast<std::size_t>(op.a)]),
-              out, config.dtype);
-          apply_activation_values(out, Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kEncodeDevices: {
-          const auto nd = static_cast<std::size_t>(g.num_devices());
-          for (std::size_t dn = 0; dn < nd; ++dn) {
-            const std::span<float> out(A + op.out + dn * h, h);
-            enc_device->forward_values(feat_f32(g.device_features[dn]), out,
-                                       config.dtype);
-            apply_activation_values(out, Activation::kTanh);
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kGruChainStep: {
-          const auto dn = static_cast<std::size_t>(
-              g.steps[static_cast<std::size_t>(op.a)].device_node);
-          std::copy_n(A + op.in1, h, m_c.data());
-          std::copy_n(A + op.aux + dn * h, h, m_c.data() + h);
-          float* sas_row = A + L.sas + static_cast<std::size_t>(op.a) * h;
-          std::copy_n(A + op.in0, h, A + L.hs);
-          gru_span_f32(*phi_c, std::span<const float>(A + L.hs, h), m_c,
-                       std::span<float>(sas_row, h));
-          std::copy_n(sas_row, h, m_c.data());
-          gru_span_f32(*phi_f, std::span<const float>(A + op.in1, h), m_c,
-                       std::span<float>(A + op.out, h));
-          break;
-        }
-        case gnn::PlanOpKind::kDevicePass: {
-          const auto nd = static_cast<std::size_t>(g.num_devices());
-          const std::span<float> m_d(A + L.m_d, 2 * h);
-          for (std::size_t dn = 0; dn < nd; ++dn) {
-            const auto& steps = g.device_node_steps[dn];
-            for (std::size_t t = 0; t < steps.size(); ++t) {
-              const auto su = static_cast<std::size_t>(steps[t]);
-              float* row = A + L.dmsgs + t * 2 * h;
-              std::copy_n(A + L.sas + su * h, h, row);
-              std::copy_n(A + op.in0 + su * h, h, row + h);
-            }
-            aggregate_device_messages_flat_f32(
-                std::span<const float>(A + op.in1 + dn * h, h), A + L.dmsgs,
-                steps.size(), m_d);
-            gru_span_f32(*phi_d,
-                         std::span<const float>(A + op.in1 + dn * h, h), m_d,
-                         std::span<float>(A + op.out + dn * h, h));
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kReadout: {
-          const auto iu = static_cast<std::size_t>(op.a);
-          const std::span<float> scalar(A + L.scalar_out, 1);
-          mlp_tput->forward_values(std::span<const float>(A + op.in0, h),
-                                   scalar, ws_.mlp, config.dtype);
-          outputs[iu].throughput = static_cast<double>(scalar[0]);
-          outputs[iu].has_throughput = true;
-          float* hl = A + L.h_latency;
-          std::fill_n(hl, h, 0.0f);
-          const auto& seq = p.key.topology.sequences[iu];
-          for (int s : seq) {
-            const float* f = A + op.in1 + static_cast<std::size_t>(s) * h;
-            for (std::size_t j = 0; j < h; ++j) hl[j] += f[j];
-          }
-          if (config.modified_outputs) {
-            const float inv = 1.0f / static_cast<float>(seq.size());
-            for (std::size_t j = 0; j < h; ++j) hl[j] *= inv;
-          }
-          mlp_latency->forward_values(std::span<const float>(hl, h), scalar,
-                                      ws_.mlp, config.dtype);
-          outputs[iu].latency = static_cast<double>(scalar[0]);
-          outputs[iu].has_latency = true;
-          break;
-        }
-        default:
-          throw std::logic_error("batch op in a width-1 plan");
-      }
-    }
-    return outputs;
-  }
-
-  std::vector<std::vector<gnn::ChainValues>> replay_batch_f32(
+  template <typename T>
+  std::vector<std::vector<gnn::ChainValues>> replay(
       std::span<const PlacementGraph* const> graphs) {
     const std::size_t B = graphs.size();
     const PlacementGraph& g0 = *graphs.front();
     const auto plan = plan_for(g0, static_cast<int>(B));
     const gnn::Plan& p = *plan;
     const gnn::PlanLayout& L = p.layout;
-    bind_batch(graphs);
+    bind(graphs);
     const auto h = static_cast<std::size_t>(config.hidden);
     const auto C = static_cast<std::size_t>(g0.num_chains);
     const auto S = static_cast<std::size_t>(g0.num_fragments());
@@ -1584,47 +992,44 @@ struct ChainNet::Impl : Module {
     const auto D = static_cast<std::size_t>(px_.device_offset[B]);
     const std::size_t M = S * B;
     const bool use_attention = config.attention_aggregation && px_.any_multi;
-    const float head_scale = 1.0f / static_cast<float>(attention.size());
-    fit_arena_f32(p.meta.scratch_elems);
-    float* A = pxf_.arena.data();
+    const T head_scale = T(1) / static_cast<T>(attention.size());
+    T* A = arena<T>(p.meta.scratch_elems);
     std::vector<std::vector<gnn::ChainValues>> outputs(B);
     for (std::size_t b = 0; b < B; ++b) outputs[b].resize(C);
     for (const gnn::PlanOp& op : p.ops) {
       switch (op.kind) {
         case gnn::PlanOpKind::kBatchEncodeService: {
-          float* enc_in = A + L.enc_in;
+          T* enc_in = A + L.enc_in;
           const auto iu = static_cast<std::size_t>(op.a);
           const std::size_t dim = g0.service_features[iu].size();
           for (std::size_t f = 0; f < dim; ++f) {
             for (std::size_t b = 0; b < B; ++b) {
               enc_in[f * B + b] =
-                  static_cast<float>(graphs[b]->service_features[iu][f]);
+                  static_cast<T>(graphs[b]->service_features[iu][f]);
             }
           }
-          enc_service->forward_values_batch(enc_in, A + op.out, B,
-                                            config.dtype);
-          apply_activation_values(std::span<float>(A + op.out, hW),
+          layer_batch<T>(*enc_service, enc_in, A + op.out, B);
+          apply_activation_values(std::span<T>(A + op.out, hW),
                                   Activation::kTanh);
           break;
         }
         case gnn::PlanOpKind::kBatchEncodeFragment: {
-          float* enc_in = A + L.enc_in;
+          T* enc_in = A + L.enc_in;
           const auto su = static_cast<std::size_t>(op.a);
           const std::size_t dim = g0.fragment_features[su].size();
           for (std::size_t f = 0; f < dim; ++f) {
             for (std::size_t b = 0; b < B; ++b) {
               enc_in[f * B + b] =
-                  static_cast<float>(graphs[b]->fragment_features[su][f]);
+                  static_cast<T>(graphs[b]->fragment_features[su][f]);
             }
           }
-          enc_fragment->forward_values_batch(enc_in, A + op.out, B,
-                                             config.dtype);
-          apply_activation_values(std::span<float>(A + op.out, hW),
+          layer_batch<T>(*enc_fragment, enc_in, A + op.out, B);
+          apply_activation_values(std::span<T>(A + op.out, hW),
                                   Activation::kTanh);
           break;
         }
         case gnn::PlanOpKind::kBatchEncodeDevices: {
-          float* enc_in = A + L.enc_in;
+          T* enc_in = A + L.enc_in;
           for (std::size_t b = 0; b < B; ++b) {
             const auto& g = *graphs[b];
             for (int dn = 0; dn < g.num_devices(); ++dn) {
@@ -1632,42 +1037,44 @@ struct ChainNet::Impl : Module {
                   static_cast<std::size_t>(px_.device_offset[b] + dn);
               for (std::size_t f = 0; f < g.device_features[dn].size();
                    ++f) {
-                enc_in[f * D + col] =
-                    static_cast<float>(g.device_features[dn][f]);
+                enc_in[f * D + col] = static_cast<T>(g.device_features[dn][f]);
               }
             }
           }
-          enc_device->forward_values_batch(enc_in, A + op.out, D,
-                                           config.dtype);
-          apply_activation_values(std::span<float>(A + op.out, h * D),
+          layer_batch<T>(*enc_device, enc_in, A + op.out, D);
+          apply_activation_values(std::span<T>(A + op.out, h * D),
                                   Activation::kTanh);
           break;
         }
         case gnn::PlanOpKind::kBatchGruChainStep: {
+          // m_c = [fragment_prev || device_prev] (eq. 6), phi_c into the
+          // step's sas panel (eq. 4), then m_f reuses the bottom half and
+          // phi_f writes the fragment panel of the opposite buffer (eq. 7).
           const auto su = static_cast<std::size_t>(op.a);
-          float* m_c = A + L.m_c;
+          T* m_c = A + L.m_c;
           std::copy_n(A + op.in1, hW, m_c);
           const int* cols = px_.device_col.data() + su * B;
           for (std::size_t r = 0; r < h; ++r) {
-            const float* src = A + op.aux + r * D;
-            float* dst = m_c + (h + r) * B;
+            const T* src = A + op.aux + r * D;
+            T* dst = m_c + (h + r) * B;
             for (std::size_t b = 0; b < B; ++b) dst[b] = src[cols[b]];
           }
-          float* sas_row = A + L.sas + su * hW;
+          T* sas_row = A + L.sas + su * hW;
+          // Stage the carried chain state: a single-step chain's carried
+          // panel IS this sas panel, and the batched GRU forbids h
+          // aliasing h_out.
           std::copy_n(A + op.in0, hW, A + L.hs);
-          phi_c->forward_values_batch(A + L.hs, m_c, sas_row, B, bws_.gru,
-                                      config.dtype);
+          layer_batch<T>(*phi_c, A + L.hs, m_c, sas_row, B, px_.gru);
           std::copy_n(sas_row, hW, m_c);
-          phi_f->forward_values_batch(A + op.in1, m_c, A + op.out, B,
-                                      bws_.gru, config.dtype);
+          layer_batch<T>(*phi_f, A + op.in1, m_c, A + op.out, B, px_.gru);
           break;
         }
         case gnn::PlanOpKind::kBatchGatherMessages: {
-          const float* sas = A + L.sas;
-          const float* fr = A + op.in0;
+          const T* sas = A + L.sas;
+          const T* fr = A + op.in0;
           for (std::size_t r = 0; r < h; ++r) {
-            float* top = A + L.messages + r * M;
-            float* bot = A + L.messages + (h + r) * M;
+            T* top = A + L.messages + r * M;
+            T* bot = A + L.messages + (h + r) * M;
             for (std::size_t m = 0; m < M; ++m) {
               const auto step = static_cast<std::size_t>(px_.msg_step[m]);
               const std::size_t idx =
@@ -1680,29 +1087,32 @@ struct ChainNet::Impl : Module {
         }
         case gnn::PlanOpKind::kBatchAggregateInit: {
           for (const BatchWorkspace::Group& grp : px_.groups) {
-            float* dst = A + L.m_d + grp.col;
+            T* dst = A + L.m_d + grp.col;
             if (grp.count == 1) {
-              const float* src = A + L.messages + grp.start;
+              const T* src = A + L.messages + grp.start;
               for (std::size_t r = 0; r < 2 * h; ++r) dst[r * D] = src[r * M];
             } else if (!config.attention_aggregation) {
-              const float inv = 1.0f / static_cast<float>(grp.count);
+              const T inv = T(1) / static_cast<T>(grp.count);
               for (std::size_t r = 0; r < 2 * h; ++r) {
-                const float* src = A + L.messages + r * M + grp.start;
-                float acc = 0.0f;
+                const T* src = A + L.messages + r * M + grp.start;
+                T acc = T(0);
                 for (int t = 0; t < grp.count; ++t) acc += src[t];
                 dst[r * D] = acc * inv;
               }
             } else {
-              for (std::size_t r = 0; r < 2 * h; ++r) dst[r * D] = 0.0f;
+              for (std::size_t r = 0; r < 2 * h; ++r) dst[r * D] = T(0);
             }
           }
           break;
         }
         case gnn::PlanOpKind::kBatchAttentionJoints: {
+          // No multi-step device anywhere in the batch: every group was
+          // fully aggregated by the count==1 copies, skip the attention
+          // panels entirely (matches the interpreted use_attention gate).
           if (!use_attention) break;
           for (std::size_t r = 0; r < h; ++r) {
-            const float* src = A + op.in1 + r * D;
-            float* dst = A + L.joints + r * M;
+            const T* src = A + op.in1 + r * D;
+            T* dst = A + L.joints + r * M;
             for (std::size_t m = 0; m < M; ++m) {
               dst[m] = src[px_.msg_col[m]];
             }
@@ -1712,42 +1122,40 @@ struct ChainNet::Impl : Module {
         }
         case gnn::PlanOpKind::kBatchAttentionHead: {
           if (!use_attention) break;
-          const auto a = static_cast<std::size_t>(op.a);
-          auto& cache = head_cache(a);
-          const float* w_att = var_f32(attention[a].w_att, cache[0]);
-          const float* alpha = var_f32(attention[a].alpha, cache[1]);
-          const float* w_msg = var_f32(attention[a].w_msg, cache[2]);
-          float* att_act = A + L.att_act;
-          float* scores = A + L.scores;
-          kernels::gemm(w_att, nullptr, A + L.joints, att_act, h, 3 * h, M);
+          const HeadWeights<T> head =
+              head_weights<T>(static_cast<std::size_t>(op.a));
+          T* att_act = A + L.att_act;
+          T* scores = A + L.scores;
+          kernels::gemm(head.w_att, nullptr, A + L.joints, att_act, h, 3 * h,
+                        M);
           for (std::size_t j = 0; j < h * M; ++j) {
-            att_act[j] = att_act[j] > 0.0f ? att_act[j] : 0.2f * att_act[j];
+            att_act[j] = att_act[j] > T(0) ? att_act[j] : T(0.2) * att_act[j];
           }
-          std::fill_n(scores, M, 0.0f);
+          std::fill_n(scores, M, T(0));
           for (std::size_t j = 0; j < h; ++j) {
-            const float av = alpha[j];
-            const float* row = att_act + j * M;
-            for (std::size_t m = 0; m < M; ++m) scores[m] += av * row[m];
+            const T a = head.alpha[j];
+            const T* row = att_act + j * M;
+            for (std::size_t m = 0; m < M; ++m) scores[m] += a * row[m];
           }
-          kernels::gemm(w_msg, nullptr, A + L.messages, A + L.transformed,
+          kernels::gemm(head.w_msg, nullptr, A + L.messages, A + L.transformed,
                         2 * h, 2 * h, M);
           for (const BatchWorkspace::Group& grp : px_.groups) {
             if (grp.count <= 1) continue;
-            float* sc = scores + grp.start;
-            float max_score = sc[0];
+            T* sc = scores + grp.start;
+            T max_score = sc[0];
             for (int t = 0; t < grp.count; ++t) {
               max_score = std::max(max_score, sc[t]);
             }
-            float denom = 0.0f;
+            T denom = T(0);
             for (int t = 0; t < grp.count; ++t) {
               sc[t] = std::exp(sc[t] - max_score);
               denom += sc[t];
             }
-            float* dst = A + L.m_d + grp.col;
+            T* dst = A + L.m_d + grp.col;
             for (int t = 0; t < grp.count; ++t) {
-              const float wgt = head_scale * sc[t] / denom;
-              const float* src = A + L.transformed + grp.start +
-                                 static_cast<std::size_t>(t);
+              const T wgt = head_scale * sc[t] / denom;
+              const T* src = A + L.transformed + grp.start +
+                             static_cast<std::size_t>(t);
               for (std::size_t r = 0; r < 2 * h; ++r) {
                 dst[r * D] += wgt * src[r * M];
               }
@@ -1756,22 +1164,21 @@ struct ChainNet::Impl : Module {
           break;
         }
         case gnn::PlanOpKind::kBatchGruDevice: {
-          phi_d->forward_values_batch(A + op.in0, A + L.m_d, A + op.out, D,
-                                      bws_.gru, config.dtype);
+          layer_batch<T>(*phi_d, A + op.in0, A + L.m_d, A + op.out, D,
+                         px_.gru);
           break;
         }
         case gnn::PlanOpKind::kBatchReadout: {
           const std::size_t CB = C * B;
-          float* ro_in = A + L.readout_in;
-          float* ro_out = A + L.readout_out;
+          T* ro_in = A + L.readout_in;
+          T* ro_out = A + L.readout_out;
           for (std::size_t i = 0; i < C; ++i) {
-            const float* src = A + p.chain_final[i];
+            const T* src = A + p.chain_final[i];
             for (std::size_t r = 0; r < h; ++r) {
               std::copy_n(src + r * B, B, ro_in + r * CB + i * B);
             }
           }
-          mlp_tput->forward_values_batch(ro_in, ro_out, CB, bws_.mlp,
-                                         config.dtype);
+          layer_batch<T>(*mlp_tput, ro_in, ro_out, CB, px_.mlp);
           for (std::size_t i = 0; i < C; ++i) {
             for (std::size_t b = 0; b < B; ++b) {
               outputs[b][i].throughput =
@@ -1782,21 +1189,20 @@ struct ChainNet::Impl : Module {
           for (std::size_t i = 0; i < C; ++i) {
             const auto& seq = p.key.topology.sequences[i];
             for (std::size_t r = 0; r < h; ++r) {
-              float* dst = ro_in + r * CB + i * B;
-              std::fill_n(dst, B, 0.0f);
+              T* dst = ro_in + r * CB + i * B;
+              std::fill_n(dst, B, T(0));
               for (int s : seq) {
-                const float* f =
+                const T* f =
                     A + op.in1 + static_cast<std::size_t>(s) * hW + r * B;
                 for (std::size_t b = 0; b < B; ++b) dst[b] += f[b];
               }
               if (config.modified_outputs) {
-                const float inv = 1.0f / static_cast<float>(seq.size());
+                const T inv = T(1) / static_cast<T>(seq.size());
                 for (std::size_t b = 0; b < B; ++b) dst[b] *= inv;
               }
             }
           }
-          mlp_latency->forward_values_batch(ro_in, ro_out, CB, bws_.mlp,
-                                            config.dtype);
+          layer_batch<T>(*mlp_latency, ro_in, ro_out, CB, px_.mlp);
           for (std::size_t i = 0; i < C; ++i) {
             for (std::size_t b = 0; b < B; ++b) {
               outputs[b][i].latency = static_cast<double>(ro_out[i * B + b]);
@@ -1805,26 +1211,11 @@ struct ChainNet::Impl : Module {
           }
           break;
         }
-        default:
-          throw std::logic_error("scalar op in a batched plan");
       }
     }
     return outputs;
   }
 };
-
-namespace {
-
-/// CHAINNET_INTERPRET selects the interpreted reference executor. Checked
-/// per call (not cached) so tests can flip it around individual forwards;
-/// empty and "0" mean off.
-bool interpret_env() {
-  const char* v = std::getenv("CHAINNET_INTERPRET");
-  if (v == nullptr || v[0] == '\0') return false;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
-}  // namespace
 
 ChainNet::ChainNet(const ChainNetConfig& config, Rng& rng)
     : impl_(std::make_unique<Impl>(config, rng)) {
@@ -1839,26 +1230,14 @@ std::vector<ChainOutput> ChainNet::forward(const PlacementGraph& g) {
 
 std::vector<gnn::ChainValues> ChainNet::forward_values(
     const PlacementGraph& g) {
-  // The interpreted reference walk is f64-only: CHAINNET_INTERPRET forces
-  // the full-precision reference regardless of the configured tier.
-  if (interpret_env()) return impl_->run_values_interpreted(g);
-  if (impl_->config.dtype != tensor::DType::kF64) {
-    return impl_->replay_scalar_f32(g);
-  }
-  return impl_->replay_scalar(g);
+  const PlacementGraph* const one[] = {&g};
+  return std::move(impl_->replay(one).front());
 }
 
 std::vector<std::vector<gnn::ChainValues>> ChainNet::forward_values_batch(
     std::span<const PlacementGraph* const> graphs) {
   gnn::validate_same_system_batch(graphs);
-  if (interpret_env()) return impl_->run_values_batch_interpreted(graphs);
-  // Width 1 is exactly the scalar plan; skip the batch binding.
-  if (impl_->config.dtype != tensor::DType::kF64) {
-    if (graphs.size() == 1) return {impl_->replay_scalar_f32(*graphs.front())};
-    return impl_->replay_batch_f32(graphs);
-  }
-  if (graphs.size() == 1) return {impl_->replay_scalar(*graphs.front())};
-  return impl_->replay_batch(graphs);
+  return impl_->replay(graphs);
 }
 
 std::vector<gnn::ChainValues> ChainNet::forward_values_interpreted(

@@ -37,17 +37,13 @@ struct ChainNetConfig {
   /// Extra (non-paper) ablation: replace the attention of eq. 14-16 with a
   /// plain mean over per-step device messages.
   bool attention_aggregation = true;
-  /// Dispatch inference through the packed/blocked kernels (kernels.h).
-  /// `false` re-runs the pre-fusion naive GEMV path — kept as the
-  /// bit-parity oracle and the bench_infer baseline; numerically the two
-  /// are identical (same per-element accumulation order).
-  bool fused_kernels = true;
-  /// Numeric tier for the inference-only paths (tensor/dtype.h). kF64
-  /// replays plans in double — bit-identical to the pre-tier engine and to
-  /// the interpreted walk. kF32/kBf16 replay through the f32 kernel table
-  /// over lazily converted weight caches; those tiers are gated on ranking
-  /// fidelity, not bit parity (DESIGN.md §15). Training (forward()) and
-  /// the interpreted reference always run in f64 regardless.
+  /// Numeric tier for plan replay (tensor/dtype.h). kF64 replays plans in
+  /// double — bit-identical to the pre-tier engine and to the interpreted
+  /// walk. kF32/kBf16 run the same replay template in float, through the
+  /// f32 kernel table over lazily converted weight caches; those tiers are
+  /// gated on ranking fidelity, not bit parity (DESIGN.md §15), and pinned
+  /// to literal goldens (f64_golden_test). Training (forward()) and the
+  /// interpreted reference always run in f64 regardless.
   tensor::DType dtype = tensor::DType::kF64;
 
   static ChainNetConfig paper() {
@@ -82,11 +78,11 @@ class ChainNet final : public gnn::GraphModel {
   std::vector<gnn::ChainOutput> forward(
       const edge::PlacementGraph& g) override;
   /// Allocation-light inference path (no autodiff graph); used by the
-  /// surrogate optimizer's hot loop. Replays a compiled execution plan
-  /// (gnn/plan.h) resolved through the installed PlanCache; set
-  /// CHAINNET_INTERPRET=1 to dispatch to the interpreted reference walk
-  /// instead. Matches forward() numerically — see the ChainNetFastInference
-  /// tests — and the interpreted walk bit for bit (plan_test).
+  /// surrogate optimizer's hot loop. A width-1 call of forward_values_batch:
+  /// replays the width-1 compiled execution plan (gnn/plan.h) resolved
+  /// through the installed PlanCache. Matches forward() numerically — see
+  /// the ChainNetFastInference tests — and the interpreted walk bit for bit
+  /// (plan_test).
   std::vector<gnn::ChainValues> forward_values(
       const edge::PlacementGraph& g) override;
   /// Lock-stepped batched inference over B placements of the same system:
@@ -95,15 +91,16 @@ class ChainNet final : public gnn::GraphModel {
   /// all device messages of the whole batch at once, and the readout MLPs
   /// run over C*B columns. Column b is bit-identical to forward_values on
   /// graphs[b] (pinned by chainnet_batch_test). Replays the width-B
-  /// compiled plan; CHAINNET_INTERPRET=1 selects the interpreted walk.
+  /// compiled plan in the configured dtype.
   std::vector<std::vector<gnn::ChainValues>> forward_values_batch(
       std::span<const edge::PlacementGraph* const> graphs) override;
 
   /// Reference executor: the interpreted Algorithm-2 graph walk the plans
-  /// are compiled from. Kept public so the parity gates (plan_test,
-  /// bench_infer) can cross-check replay against it explicitly; production
-  /// callers go through forward_values[_batch] (lint rule
-  /// R7-plan-discipline).
+  /// are compiled from, always in f64 over the pre-fusion kernels
+  /// (kernels::gemv_naive, GruCell::forward_values_reference). Kept public
+  /// so the parity gates (plan_test, chainnet_batch_test, bench_infer) can
+  /// cross-check replay against it explicitly; production callers go
+  /// through forward_values[_batch] (lint rule R7-plan-discipline).
   std::vector<gnn::ChainValues> forward_values_interpreted(
       const edge::PlacementGraph& g);
   std::vector<std::vector<gnn::ChainValues>> forward_values_batch_interpreted(

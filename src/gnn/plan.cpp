@@ -8,12 +8,6 @@ namespace chainnet::gnn {
 
 const char* plan_op_name(PlanOpKind kind) {
   switch (kind) {
-    case PlanOpKind::kEncodeService: return "EncodeService";
-    case PlanOpKind::kEncodeFragment: return "EncodeFragment";
-    case PlanOpKind::kEncodeDevices: return "EncodeDevices";
-    case PlanOpKind::kGruChainStep: return "GruChainStep";
-    case PlanOpKind::kDevicePass: return "DevicePass";
-    case PlanOpKind::kReadout: return "Readout";
     case PlanOpKind::kBatchEncodeService: return "BatchEncodeService";
     case PlanOpKind::kBatchEncodeFragment: return "BatchEncodeFragment";
     case PlanOpKind::kBatchEncodeDevices: return "BatchEncodeDevices";

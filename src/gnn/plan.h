@@ -5,19 +5,20 @@
 // sequences), never on the placement or the weights. A Plan captures that
 // order once as a flat array of typed ops with pre-resolved offsets into a
 // single arena-planned scratch buffer; `ChainNet::forward_values[_batch]`
-// then replays the op list over the fused kernels instead of re-walking the
-// heterogeneous graph per call. Placement-dependent geometry (which device
-// column each step reads, the per-device message groups) is bound per
-// replay from the graph — the same tables the interpreted batch path
-// already rebuilt every call — so a plan is reusable across every
-// placement, every weight version, and every model instance that shares
-// its (topology, shape, width) key.
+// then replays the op list over the batched kernels instead of re-walking
+// the heterogeneous graph per call. There is one op flavour: a single
+// placement replays the width-1 plan, whose panels are one column wide.
+// Placement-dependent geometry (which device column each step reads, the
+// per-device message groups) is bound per replay from the graph — the same
+// tables the interpreted batch path already rebuilt every call — so a plan
+// is reusable across every placement, every weight version, and every
+// model instance that shares its (topology, shape, width) key.
 //
 // Plans are weight-independent: a serving hot-swap that replaces model
 // weights never invalidates a plan; only a topology change compiles a new
-// one. The interpreted walk survives behind CHAINNET_INTERPRET=1 as the
-// reference executor, and replay must match it bit for bit (plan_test,
-// bench_infer parity gate).
+// one. The interpreted walk survives as the reference executor
+// (ChainNet::forward_values[_batch]_interpreted), and replay must match it
+// bit for bit (plan_test, bench_infer parity gate).
 #pragma once
 
 #include <cstdint>
@@ -35,15 +36,6 @@ namespace chainnet::gnn {
 /// (in elements of the plan's dtype); -1 marks an unused field. Field
 /// roles per kind are documented at the emission site in plan_compiler.cpp.
 enum class PlanOpKind : std::uint8_t {
-  // Scalar (width-1) executor.
-  kEncodeService,    ///< a=chain, out=service row
-  kEncodeFragment,   ///< a=step, out=fragment row
-  kEncodeDevices,    ///< out=device panel base (runtime device count)
-  kGruChainStep,     ///< a=step, in0=h_in, in1=frag_prev row, out=frag row,
-                     ///< aux=device read-buffer base
-  kDevicePass,       ///< in0=frag read base, in1=dev read base, out=dev write
-  kReadout,          ///< a=chain, in0=final service row, in1=final frag base
-  // Batched executor (width >= 2).
   kBatchEncodeService,   ///< a=chain, out=service panel
   kBatchEncodeFragment,  ///< a=step, out=fragment panel
   kBatchEncodeDevices,   ///< out=device panel base
@@ -80,15 +72,13 @@ struct PlanTopology {
 };
 
 /// The model-shape half of a plan key: every config field that changes the
-/// op list or the arena layout. modified_inputs and fused_kernels are
-/// deliberately absent — the former only selects graph features, the
-/// latter only which kernel a replayed op dispatches to; neither changes
-/// plan structure, so models differing only there share plans. dtype IS
-/// part of the key even though the op list is dtype-invariant: the replay
-/// executors size and type their arena by it (offsets are element-indexed,
-/// elements are 8 or 4 bytes), so an f32 model must never replay through a
-/// plan another model compiled as f64 — one compile per dtype, no
-/// cross-dtype reuse (pinned by plan_test).
+/// op list or the arena layout. modified_inputs is deliberately absent — it
+/// only selects graph features and never changes plan structure, so models
+/// differing only there share plans. dtype IS part of the key even though
+/// the op list is dtype-invariant: the replay executor sizes and types its
+/// arena by it (offsets are element-indexed, elements are 8 or 4 bytes), so
+/// an f32 model must never replay through a plan another model compiled as
+/// f64 — one compile per dtype, no cross-dtype reuse (pinned by plan_test).
 struct PlanShape {
   int hidden = 0;
   int iterations = 0;
@@ -103,16 +93,16 @@ struct PlanShape {
 struct PlanKey {
   PlanTopology topology;
   PlanShape shape;
-  int width = 1;  ///< batch width class (exact B; 1 = scalar executor)
+  int width = 1;  ///< batch width class (exact B; 1 = one placement)
 
   bool operator==(const PlanKey& other) const = default;
 };
 
-/// Arena region offsets (in doubles). Regions a plan flavor does not use
-/// are -1. frag0/frag1 and dev0/dev1 are the double-buffered embedding
-/// panels: each iteration's ops read one and write the other, which is
-/// what lets the compiler delete the interpreted path's per-iteration
-/// snapshot copies.
+/// Arena region offsets (in elements of the plan's dtype). The attention
+/// panels are -1 when attention aggregation is ablated. frag0/frag1 and
+/// dev0/dev1 are the double-buffered embedding panels: each iteration's
+/// ops read one and write the other, which is what lets the compiler
+/// delete the interpreted path's per-iteration snapshot copies.
 struct PlanLayout {
   std::int32_t service = -1;
   std::int32_t frag0 = -1, frag1 = -1;
@@ -121,12 +111,10 @@ struct PlanLayout {
   std::int32_t hs = -1;      ///< chain-state staging row (phi_c h input)
   std::int32_t m_c = -1;     ///< chain-pass message panel
   std::int32_t m_d = -1;     ///< aggregated device-message panel
-  std::int32_t dmsgs = -1;   ///< scalar: per-device message rows
-  std::int32_t h_latency = -1, scalar_out = -1;  ///< scalar readout
   std::int32_t messages = -1, joints = -1, att_act = -1, scores = -1,
-               transformed = -1;  ///< batch device-pass panels
-  std::int32_t readout_in = -1, readout_out = -1;  ///< batch readout panels
-  std::int32_t enc_in = -1;  ///< batch encoder input gather panel
+               transformed = -1;  ///< device-pass panels
+  std::int32_t readout_in = -1, readout_out = -1;  ///< readout panels
+  std::int32_t enc_in = -1;  ///< encoder input gather panel
 };
 
 struct PlanMeta {
@@ -136,7 +124,7 @@ struct PlanMeta {
   int chains = 0;
   int steps = 0;
   int dev_cap = 0;      ///< device-column capacity (runtime D <= dev_cap)
-  int message_cap = 0;  ///< batch message columns M = steps * width
+  int message_cap = 0;  ///< message columns M = steps * width
   /// Arena size in *elements* — doubles on the f64 tier, floats on the
   /// reduced tiers (the executor multiplies by the key's element width).
   std::int64_t scratch_elems = 0;

@@ -33,21 +33,18 @@ int count_steps(const PlanTopology& topology) {
   return static_cast<int>(steps);
 }
 
-/// Emits the per-iteration body shared by both flavors: chain-pass GRU
-/// steps (scalar and batch differ only in op kind and row stride) followed
-/// by the flavor-specific device pass, with the fragment/device panels
-/// double-buffered across iterations. `row` is the per-entity row width
-/// (h for scalar, h*W for batch).
+/// Emits the per-iteration body: chain-pass GRU steps followed by the
+/// device pass, with the fragment/device panels double-buffered across
+/// iterations. `row` is the per-entity panel width h*W.
 void emit_iterations(const PlanKey& key, const PlanLayout& layout,
-                     std::int64_t row, std::int64_t dev_row, bool batch,
-                     std::vector<PlanOp>& ops,
+                     std::int64_t row, std::vector<PlanOp>& ops,
                      std::vector<std::int32_t>& chain_final) {
   const auto C = static_cast<std::size_t>(key.topology.num_chains);
   // The chain state carries ACROSS iterations (the interpreted walk writes
   // hs back into service[i] at the end of each chain pass): iteration 0
   // starts from the encoded service row, every later iteration from the
-  // chain's last service-at-step row of the previous one. The executors
-  // stage in0 through layout.hs before the GRU, so a single-step chain —
+  // chain's last service-at-step row of the previous one. The executor
+  // stages in0 through layout.hs before the GRU, so a single-step chain —
   // whose carried row IS its output row — never aliases h with h_out.
   chain_final.assign(C, -1);
   for (std::size_t i = 0; i < C; ++i) {
@@ -62,8 +59,7 @@ void emit_iterations(const PlanKey& key, const PlanLayout& layout,
     for (std::size_t i = 0; i < C; ++i) {
       for (int s : key.topology.sequences[i]) {
         PlanOp op;
-        op.kind = batch ? PlanOpKind::kBatchGruChainStep
-                        : PlanOpKind::kGruChainStep;
+        op.kind = PlanOpKind::kBatchGruChainStep;
         op.a = s;
         op.in0 = chain_final[i];
         op.in1 = fr + static_cast<std::int32_t>(s * row);
@@ -73,25 +69,19 @@ void emit_iterations(const PlanKey& key, const PlanLayout& layout,
         chain_final[i] = layout.sas + static_cast<std::int32_t>(s * row);
       }
     }
-    if (batch) {
+    ops.push_back(
+        PlanOp{PlanOpKind::kBatchGatherMessages, -1, fr, -1, -1, -1});
+    ops.push_back(
+        PlanOp{PlanOpKind::kBatchAggregateInit, -1, -1, -1, -1, -1});
+    if (key.shape.attention_aggregation) {
       ops.push_back(
-          PlanOp{PlanOpKind::kBatchGatherMessages, -1, fr, -1, -1, -1});
-      ops.push_back(
-          PlanOp{PlanOpKind::kBatchAggregateInit, -1, -1, -1, -1, -1});
-      if (key.shape.attention_aggregation) {
+          PlanOp{PlanOpKind::kBatchAttentionJoints, -1, -1, dr, -1, -1});
+      for (int a = 0; a < key.shape.attention_heads; ++a) {
         ops.push_back(
-            PlanOp{PlanOpKind::kBatchAttentionJoints, -1, -1, dr, -1, -1});
-        for (int a = 0; a < key.shape.attention_heads; ++a) {
-          ops.push_back(
-              PlanOp{PlanOpKind::kBatchAttentionHead, a, -1, -1, -1, -1});
-        }
+            PlanOp{PlanOpKind::kBatchAttentionHead, a, -1, -1, -1, -1});
       }
-      ops.push_back(
-          PlanOp{PlanOpKind::kBatchGruDevice, -1, dr, -1, dw, -1});
-    } else {
-      ops.push_back(PlanOp{PlanOpKind::kDevicePass, -1, fr, dr, dw, -1});
     }
-    (void)dev_row;
+    ops.push_back(PlanOp{PlanOpKind::kBatchGruDevice, -1, dr, -1, dw, -1});
   }
 }
 
@@ -116,10 +106,9 @@ std::shared_ptr<const Plan> compile_plan(const PlanKey& key) {
   const auto W = static_cast<std::int64_t>(key.width);
   const auto C = static_cast<std::int64_t>(key.topology.num_chains);
   const auto S = static_cast<std::int64_t>(count_steps(key.topology));
-  const bool batch = key.width > 1;
   // Every used device hosts at least one of the S execution steps, so the
   // runtime device-column count D is bounded by S per placement.
-  const std::int64_t dev_cap = batch ? S * W : S;
+  const std::int64_t dev_cap = S * W;
   const std::int64_t M = S * W;
 
   auto plan = std::make_shared<Plan>();
@@ -130,11 +119,11 @@ std::shared_ptr<const Plan> compile_plan(const PlanKey& key) {
   plan->meta.chains = static_cast<int>(C);
   plan->meta.steps = static_cast<int>(S);
   plan->meta.dev_cap = static_cast<int>(dev_cap);
-  plan->meta.message_cap = batch ? static_cast<int>(M) : 0;
+  plan->meta.message_cap = static_cast<int>(M);
 
   ArenaPlanner arena;
   PlanLayout& L = plan->layout;
-  const std::int64_t row = h * W;  // per-entity row width (h when W == 1)
+  const std::int64_t row = h * W;  // per-entity panel width
   L.service = arena.region(C * row);
   L.frag0 = arena.region(S * row);
   L.frag1 = arena.region(S * row);
@@ -143,71 +132,50 @@ std::shared_ptr<const Plan> compile_plan(const PlanKey& key) {
   L.dev1 = arena.region(h * dev_cap);
   L.hs = arena.region(row);
   L.m_c = arena.region(2 * row);
-  L.m_d = arena.region(batch ? 2 * h * dev_cap : 2 * h);
-  if (batch) {
-    L.messages = arena.region(2 * h * M);
-    if (key.shape.attention_aggregation) {
-      L.joints = arena.region(3 * h * M);
-      L.att_act = arena.region(h * M);
-      L.scores = arena.region(M);
-      L.transformed = arena.region(2 * h * M);
-    }
-    L.readout_in = arena.region(h * C * W);
-    L.readout_out = arena.region(C * W);
-    L.enc_in = arena.region(
-        std::max({static_cast<std::int64_t>(edge::kServiceFeatureDim) * W,
-                  static_cast<std::int64_t>(edge::kFragmentFeatureDim) * W,
-                  static_cast<std::int64_t>(edge::kDeviceFeatureDim) *
-                      dev_cap}));
-  } else {
-    L.dmsgs = arena.region(2 * h * std::max<std::int64_t>(S, 1));
-    L.h_latency = arena.region(h);
-    L.scalar_out = arena.region(1);
+  L.m_d = arena.region(2 * h * dev_cap);
+  L.messages = arena.region(2 * h * M);
+  if (key.shape.attention_aggregation) {
+    L.joints = arena.region(3 * h * M);
+    L.att_act = arena.region(h * M);
+    L.scores = arena.region(M);
+    L.transformed = arena.region(2 * h * M);
   }
+  L.readout_in = arena.region(h * C * W);
+  L.readout_out = arena.region(C * W);
+  L.enc_in = arena.region(
+      std::max({static_cast<std::int64_t>(edge::kServiceFeatureDim) * W,
+                static_cast<std::int64_t>(edge::kFragmentFeatureDim) * W,
+                static_cast<std::int64_t>(edge::kDeviceFeatureDim) *
+                    dev_cap}));
 
   std::vector<PlanOp>& ops = plan->ops;
   for (std::int64_t i = 0; i < C; ++i) {
     PlanOp op;
-    op.kind = batch ? PlanOpKind::kBatchEncodeService
-                    : PlanOpKind::kEncodeService;
+    op.kind = PlanOpKind::kBatchEncodeService;
     op.a = static_cast<std::int32_t>(i);
     op.out = L.service + static_cast<std::int32_t>(i * row);
     ops.push_back(op);
   }
   for (std::int64_t s = 0; s < S; ++s) {
     PlanOp op;
-    op.kind = batch ? PlanOpKind::kBatchEncodeFragment
-                    : PlanOpKind::kEncodeFragment;
+    op.kind = PlanOpKind::kBatchEncodeFragment;
     op.a = static_cast<std::int32_t>(s);
     op.out = L.frag0 + static_cast<std::int32_t>(s * row);
     ops.push_back(op);
   }
   {
     PlanOp op;
-    op.kind = batch ? PlanOpKind::kBatchEncodeDevices
-                    : PlanOpKind::kEncodeDevices;
+    op.kind = PlanOpKind::kBatchEncodeDevices;
     op.out = L.dev0;
     ops.push_back(op);
   }
 
-  emit_iterations(key, L, row, h, batch, ops, plan->chain_final);
+  emit_iterations(key, L, row, ops, plan->chain_final);
 
   // After the last iteration the live fragment buffer is frag[N % 2].
   const std::int32_t frag_final =
       (key.shape.iterations % 2) != 0 ? L.frag1 : L.frag0;
-  if (batch) {
-    ops.push_back(
-        PlanOp{PlanOpKind::kBatchReadout, -1, -1, frag_final, -1, -1});
-  } else {
-    for (std::int64_t i = 0; i < C; ++i) {
-      PlanOp op;
-      op.kind = PlanOpKind::kReadout;
-      op.a = static_cast<std::int32_t>(i);
-      op.in0 = plan->chain_final[static_cast<std::size_t>(i)];
-      op.in1 = frag_final;
-      ops.push_back(op);
-    }
-  }
+  ops.push_back(PlanOp{PlanOpKind::kBatchReadout, -1, -1, frag_final, -1, -1});
 
   plan->meta.scratch_elems = arena.cursor;
   plan->fingerprint = plan_fingerprint(key);

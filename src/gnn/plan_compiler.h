@@ -15,8 +15,8 @@ namespace chainnet::gnn {
 PlanKey make_plan_key(const edge::PlacementGraph& g, const PlanShape& shape,
                       int width);
 
-/// Compiles the full op list and arena layout for a key. width == 1 emits
-/// the scalar flavor; width >= 2 the batched flavor.
+/// Compiles the full op list and arena layout for a key. Every width emits
+/// the same ops; the width only sets the panel column count.
 std::shared_ptr<const Plan> compile_plan(const PlanKey& key);
 
 /// Convenience: key + compile in one call.

@@ -7,9 +7,10 @@
 // order, exactly like the naive reference loop. Row blocking only runs
 // several such chains in parallel (one accumulator per row, for ILP) and
 // the GEMM only vectorizes across independent batch columns, so neither
-// reassociates a single element's sum. That is what keeps the fused GRU
-// path, the batched multi-placement path, and the pre-fusion reference
-// bit-for-bit identical (pinned by kernels_test and chainnet_batch_test).
+// reassociates a single element's sum. That is what keeps plan replay
+// (packed GRU blocks through the GEMM, at any batch width including 1)
+// bit-for-bit identical to the interpreted reference walk over gemv_naive
+// (pinned by kernels_test, chainnet_batch_test and plan_test).
 //
 // ISA dispatch: the implementation picks, once per process, the widest
 // variant the host supports — baseline x86-64 (SSE2, no FMA), AVX2+FMA, or
@@ -42,8 +43,8 @@ void gemv(const double* w, const double* bias, const double* x, double* y,
           std::size_t rows, std::size_t cols);
 
 /// Single-accumulator reference GEMV — the pre-fusion kernel, kept as the
-/// bit-parity oracle and the bench_infer baseline. Same accumulation order
-/// as gemv(), so the two agree bit-for-bit.
+/// bit-parity oracle the interpreted reference walk runs on. Same
+/// accumulation order as gemv(), so the two agree bit-for-bit.
 void gemv_naive(const double* w, const double* bias, const double* x,
                 double* y, std::size_t rows, std::size_t cols);
 

@@ -151,16 +151,6 @@ void Linear::ensure_f32(DType storage) const {
   f32_ready_ = true;
 }
 
-void Linear::forward_values(std::span<const float> x, std::span<float> out,
-                            DType storage) const {
-  if (x.size() != in_ || out.size() != out_) {
-    throw std::invalid_argument("Linear::forward_values: size mismatch");
-  }
-  ensure_f32(storage);
-  kernels::gemv(w_f32_.data(), b_f32_.data(), x.data(), out.data(), out_,
-                in_);
-}
-
 void Linear::forward_values_batch(const float* x, float* out, std::size_t n,
                                   DType storage) const {
   ensure_f32(storage);
@@ -293,23 +283,6 @@ void Mlp::forward_values_batch(const double* x, double* out, std::size_t n,
   std::copy(s.a.begin(), s.a.end(), out);
 }
 
-void Mlp::forward_values(std::span<const float> x, std::span<float> out,
-                         Scratch& s, DType storage) const {
-  s.a_f.assign(x.begin(), x.end());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.b_f.resize(layers_[l]->out_features());
-    layers_[l]->forward_values(s.a_f, s.b_f, storage);
-    apply_activation_values(
-        std::span<float>(s.b_f),
-        l + 1 == layers_.size() ? output_ : hidden_);
-    s.a_f.swap(s.b_f);
-  }
-  if (out.size() != s.a_f.size()) {
-    throw std::invalid_argument("Mlp::forward_values: bad output size");
-  }
-  std::copy(s.a_f.begin(), s.a_f.end(), out.begin());
-}
-
 void Mlp::forward_values_batch(const float* x, float* out, std::size_t n,
                                Scratch& s, DType storage) const {
   s.a_f.assign(x, x + layers_.front()->in_features() * n);
@@ -358,13 +331,6 @@ Var GruCell::forward(const Var& h, const Var& x) const {
                     mul(r, add(matvec(w_hn_, h), b_hn_))));
   // h' = (1 - z) * n + z * h  ==  n - z*n + z*h
   return add(sub(n, mul(z, n)), mul(z, h));
-}
-
-void GruCell::forward_values(std::span<const double> h,
-                             std::span<const double> x,
-                             std::span<double> h_out) const {
-  Scratch scratch;
-  forward_values(h, x, h_out, scratch);
 }
 
 void GruCell::ensure_packed() const {
@@ -422,37 +388,13 @@ void GruCell::ensure_packed_f32(DType storage) const {
   packed_f32_ = true;
 }
 
-void GruCell::forward_values(std::span<const double> h,
-                             std::span<const double> x,
-                             std::span<double> h_out, Scratch& s) const {
-  if (h.size() != hidden_ || x.size() != input_ || h_out.size() != hidden_) {
-    throw std::invalid_argument("GruCell::forward_values: size mismatch");
-  }
-  ensure_packed();
-  const std::size_t H = hidden_;
-  // Stacked gate pre-activations: gi = Wi x + bi, gh = Wh h + bh, rows in
-  // gate order [r; z; n]. Every element is fully overwritten, so resize
-  // (keeping capacity) suffices.
-  s.gi.resize(3 * H);
-  s.gh.resize(3 * H);
-  kernels::gemv(wi_pack_.data(), bi_pack_.data(), x.data(), s.gi.data(),
-                3 * H, input_);
-  kernels::gemv(wh_pack_.data(), bh_pack_.data(), h.data(), s.gh.data(),
-                3 * H, hidden_);
-  for (std::size_t i = 0; i < H; ++i) {
-    const double r = sigmoid_value(s.gi[i] + s.gh[i]);
-    const double z = sigmoid_value(s.gi[H + i] + s.gh[H + i]);
-    const double n = std::tanh(s.gi[2 * H + i] + r * s.gh[2 * H + i]);
-    h_out[i] = (1.0 - z) * n + z * h[i];
-  }
-}
-
 void GruCell::forward_values_reference(std::span<const double> h,
                                        std::span<const double> x,
                                        std::span<double> h_out,
                                        Scratch& s) const {
   if (h.size() != hidden_ || x.size() != input_ || h_out.size() != hidden_) {
-    throw std::invalid_argument("GruCell::forward_values: size mismatch");
+    throw std::invalid_argument(
+        "GruCell::forward_values_reference: size mismatch");
   }
   s.r.resize(hidden_);
   s.z.resize(hidden_);
@@ -503,29 +445,6 @@ void GruCell::forward_values_batch(const double* h, const double* x,
       const double nn = std::tanh(gin[j] + r * ghn[j]);
       out[j] = (1.0 - z) * nn + z * hrow[j];
     }
-  }
-}
-
-void GruCell::forward_values(std::span<const float> h,
-                             std::span<const float> x,
-                             std::span<float> h_out, Scratch& s,
-                             DType storage) const {
-  if (h.size() != hidden_ || x.size() != input_ || h_out.size() != hidden_) {
-    throw std::invalid_argument("GruCell::forward_values: size mismatch");
-  }
-  ensure_packed_f32(storage);
-  const std::size_t H = hidden_;
-  s.gi_f.resize(3 * H);
-  s.gh_f.resize(3 * H);
-  kernels::gemv(wi_pack_f32_.data(), bi_pack_f32_.data(), x.data(),
-                s.gi_f.data(), 3 * H, input_);
-  kernels::gemv(wh_pack_f32_.data(), bh_pack_f32_.data(), h.data(),
-                s.gh_f.data(), 3 * H, hidden_);
-  for (std::size_t i = 0; i < H; ++i) {
-    const float r = sigmoid_value(s.gi_f[i] + s.gh_f[i]);
-    const float z = sigmoid_value(s.gi_f[H + i] + s.gh_f[H + i]);
-    const float n = std::tanh(s.gi_f[2 * H + i] + r * s.gh_f[2 * H + i]);
-    h_out[i] = (1.0f - z) * n + z * h[i];
   }
 }
 

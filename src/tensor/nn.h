@@ -79,12 +79,10 @@ class Linear : public Module {
   void forward_values_batch(const double* x, double* out,
                             std::size_t n) const;
 
-  /// Reduced-precision tier: same contracts on float panels, using a
-  /// lazily cached f32 copy of W/b (bf16-rounded when `storage` is kBf16 —
-  /// weights only; activations stay plain f32). The cache re-converts when
-  /// a parameter's node version moves, like GruCell's packed blocks.
-  void forward_values(std::span<const float> x, std::span<float> out,
-                      DType storage) const;
+  /// Reduced-precision tier: the batched contract on float panels, using
+  /// a lazily cached f32 copy of W/b (bf16-rounded when `storage` is kBf16
+  /// — weights only; activations stay plain f32). The cache re-converts
+  /// when a parameter's node version moves, like GruCell's packed blocks.
   void forward_values_batch(const float* x, float* out, std::size_t n,
                             DType storage) const;
 
@@ -141,8 +139,6 @@ class Mlp : public Module {
 
   /// Reduced-precision tier (see Linear): float panels through the f32
   /// kernel table and the per-layer f32 weight caches.
-  void forward_values(std::span<const float> x, std::span<float> out,
-                      Scratch& scratch, DType storage) const;
   void forward_values_batch(const float* x, float* out, std::size_t n,
                             Scratch& scratch, DType storage) const;
 
@@ -171,48 +167,35 @@ class GruCell : public Module {
   /// Returns the next hidden state h'. `h` has size hidden, `x` size input.
   Var forward(const Var& h, const Var& x) const;
 
-  /// Reusable gate buffers for forward_values (see Mlp::Scratch). The
-  /// fused path uses gi/gh (stacked [3H] gate pre-activations); the
-  /// reference path uses the per-gate vectors.
+  /// Reusable gate buffers (see Mlp::Scratch). The batched path uses
+  /// gi/gh (stacked [3H x n] gate pre-activations); the reference path
+  /// uses the per-gate vectors.
   struct Scratch {
-    std::vector<double> r, z, ni, nh, tmp;  // reference (unfused) path
-    std::vector<double> gi, gh;             // fused path
+    std::vector<double> r, z, ni, nh, tmp;  // reference (pre-fusion) path
+    std::vector<double> gi, gh;             // batched path
     std::vector<float> gi_f, gh_f;          // reduced-precision tier
   };
 
-  /// Cold-path-only convenience overload: constructs a fresh Scratch per
-  /// call. Warm paths must hold a persistent Scratch and use the overload
-  /// below.
-  void forward_values(std::span<const double> h, std::span<const double> x,
-                      std::span<double> h_out) const;
   /// Inference-only evaluation into `h_out` (size hidden); no graph built.
-  /// `h_out` may not alias `h`. Dispatches the packed [3Hxin]/[3HxH]
-  /// weight blocks through the blocked kernels — bit-identical to
-  /// forward_values_reference (pinned by chainnet_batch_test).
-  void forward_values(std::span<const double> h, std::span<const double> x,
-                      std::span<double> h_out, Scratch& scratch) const;
-
-  /// Pre-fusion evaluation path: six independent naive GEMVs, kept as the
-  /// bit-parity oracle and the bench_infer baseline.
+  /// The pre-fusion path: six independent naive GEMVs, kept as the
+  /// bit-parity oracle the interpreted reference walk runs on.
   void forward_values_reference(std::span<const double> h,
                                 std::span<const double> x,
                                 std::span<double> h_out,
                                 Scratch& scratch) const;
 
-  /// Batched step over n batch columns. `h` and `h_out` are row-major
-  /// [hidden x n] panels, `x` a [input x n] panel; column j is
-  /// bit-identical to forward_values on column j. `h_out` must not alias
-  /// `h` or `x`.
+  /// Batched step over n batch columns, dispatching the packed
+  /// [3Hxin]/[3HxH] weight blocks through the GEMM. `h` and `h_out` are
+  /// row-major [hidden x n] panels, `x` a [input x n] panel; column j is
+  /// bit-identical to forward_values_reference on column j (pinned by
+  /// plan_test). `h_out` must not alias `h` or `x`.
   void forward_values_batch(const double* h, const double* x, double* h_out,
                             std::size_t n, Scratch& scratch) const;
 
-  /// Reduced-precision tier: the fused step on float panels, with the
+  /// Reduced-precision tier: the batched step on float panels, with the
   /// packed gate blocks lazily converted to f32 (bf16-rounded when
   /// `storage` is kBf16) and version-checked like the f64 packs. Gates run
   /// in f32 arithmetic.
-  void forward_values(std::span<const float> h, std::span<const float> x,
-                      std::span<float> h_out, Scratch& scratch,
-                      DType storage) const;
   void forward_values_batch(const float* h, const float* x, float* h_out,
                             std::size_t n, Scratch& scratch,
                             DType storage) const;
@@ -236,7 +219,7 @@ class GruCell : public Module {
 
   // Stacked inference blocks in gate order [r; z; n]: wi_pack_ is
   // [3H x input], wh_pack_ [3H x hidden], bi_pack_/bh_pack_ [3H]. Packed
-  // lazily on first fused call and re-packed when a parameter's node
+  // lazily on first batched call and re-packed when a parameter's node
   // version moves (Var::mutable_value is the only mutation funnel).
   mutable std::vector<double> wi_pack_, wh_pack_, bi_pack_, bh_pack_;
   mutable std::array<std::uint64_t, 12> pack_versions_{};

@@ -3,9 +3,10 @@
 //    EXACTLY (EXPECT_EQ on doubles) for B in {1, 2, 7, 32}, on every
 //    ablation configuration — the lock-stepped batch-major engine may not
 //    perturb a single placement's numbers;
-//  * the fused-kernel path must equal the pre-fusion reference path
-//    (fused_kernels = false) exactly, including after parameters mutate
-//    (exercising the packed-weight version check);
+//  * plan replay over the packed/blocked kernels must equal the
+//    interpreted walk over the pre-fusion kernels on the same model
+//    exactly, including after parameters mutate (exercising the
+//    packed-weight version check);
 //  * batches mixing placements of different systems must be rejected with
 //    the typed gnn::MixedBatchError.
 #include <gtest/gtest.h>
@@ -159,25 +160,17 @@ TEST(ChainNetBatch, EmptyAndNullBatchesAreRejected) {
   EXPECT_THROW(model.forward_values_batch(with_null), std::invalid_argument);
 }
 
-/// Two models built from identical seeds, one fused and one on the
-/// pre-fusion reference path, must agree bit-for-bit: the packed-weight
-/// kernels promise the same per-element accumulation chains as the naive
-/// per-matrix GEMVs they replaced.
-void expect_fused_matches_reference(const ChainNetConfig& base,
-                                    const edge::EdgeSystem& system,
-                                    std::span<const edge::Placement> placements) {
-  auto fused_cfg = base;
-  fused_cfg.fused_kernels = true;
-  auto ref_cfg = base;
-  ref_cfg.fused_kernels = false;
-  Rng rng_fused(3), rng_ref(3);
-  ChainNet fused(fused_cfg, rng_fused);
-  ChainNet reference(ref_cfg, rng_ref);
-
+/// Plan replay (packed GRU blocks, blocked GEMM) and the interpreted walk
+/// (naive per-matrix GEMVs) on the same model must agree bit-for-bit: the
+/// packed-weight kernels promise the same per-element accumulation chains
+/// as the pre-fusion kernels they replaced.
+void expect_replay_matches_reference(ChainNet& model,
+                                     const edge::EdgeSystem& system,
+                                     std::span<const edge::Placement> placements) {
   for (const auto& p : placements) {
-    const auto g = edge::build_graph(system, p, fused.feature_mode());
-    const auto a = fused.forward_values(g);
-    const auto b = reference.forward_values(g);
+    const auto g = edge::build_graph(system, p, model.feature_mode());
+    const auto a = model.forward_values(g);
+    const auto b = model.forward_values_interpreted(g);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].throughput, b[i].throughput) << "chain " << i;
@@ -194,51 +187,36 @@ TEST(ChainNetFusion, FusedMatchesReferenceOnEveryConfig) {
     cfg.hidden = 16;
     cfg.iterations = 3;
     SCOPED_TRACE(named.name);
-    expect_fused_matches_reference(cfg, system, placements);
+    Rng rng(3);
+    ChainNet model(cfg, rng);
+    expect_replay_matches_reference(model, system, placements);
   }
 }
 
 TEST(ChainNetFusion, RepackAfterParameterMutation) {
   // Mutating a parameter in place must invalidate the packed GRU weights:
-  // the fused model re-packs and keeps matching a reference model whose
-  // parameters received the identical mutation.
+  // replay re-packs and keeps matching the interpreted walk, which reads
+  // the parameters directly.
   const auto system = medium_system(42);
   const auto placements = random_placements(system, 2, 21);
-  ChainNetConfig fused_cfg;
-  fused_cfg.hidden = 12;
-  fused_cfg.iterations = 2;
-  auto ref_cfg = fused_cfg;
-  ref_cfg.fused_kernels = false;
-  Rng rng_fused(3), rng_ref(3);
-  ChainNet fused(fused_cfg, rng_fused);
-  ChainNet reference(ref_cfg, rng_ref);
+  ChainNetConfig cfg;
+  cfg.hidden = 12;
+  cfg.iterations = 2;
+  Rng rng(3);
+  ChainNet model(cfg, rng);
 
   const auto g =
-      edge::build_graph(system, placements.front(), fused.feature_mode());
-  // Warm pass so the fused model has packed its weights once.
-  (void)fused.forward_values(g);
+      edge::build_graph(system, placements.front(), model.feature_mode());
+  // Warm pass so replay has packed the weights once.
+  const auto before = model.forward_values(g);
 
-  auto fused_params = fused.parameters();
-  auto ref_params = reference.parameters();
-  ASSERT_EQ(fused_params.size(), ref_params.size());
-  for (std::size_t k = 0; k < fused_params.size(); ++k) {
-    auto fv = fused_params[k]->var.mutable_value();
-    auto rv = ref_params[k]->var.mutable_value();
-    ASSERT_EQ(fv.size(), rv.size());
-    fv[0] += 0.25;
-    rv[0] += 0.25;
+  for (auto* param : model.parameters()) {
+    param->var.mutable_value()[0] += 0.25;
   }
-
-  for (const auto& p : placements) {
-    const auto gp = edge::build_graph(system, p, fused.feature_mode());
-    const auto a = fused.forward_values(gp);
-    const auto b = reference.forward_values(gp);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].throughput, b[i].throughput) << "chain " << i;
-      EXPECT_EQ(a[i].latency, b[i].latency) << "chain " << i;
-    }
-  }
+  EXPECT_NE(model.forward_values(g).front().throughput,
+            before.front().throughput)
+      << "the mutation must reach replay";
+  expect_replay_matches_reference(model, system, placements);
 }
 
 TEST(ChainNetBatch, EvalServiceConcurrentBatchMatchesSerial) {

@@ -212,12 +212,14 @@ TEST(GruCell, ForwardValuesMatchesAutodiff) {
   const std::vector<double> x = {1.0, -2.0, 0.3, 0.8};
   const auto slow = gru.forward(Var::vector(h), Var::vector(x));
   std::vector<double> fast(3);
-  gru.forward_values(h, x, fast);
+  GruCell::Scratch scratch;
+  gru.forward_values_reference(h, x, fast, scratch);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(slow.value()[i], fast[i], 1e-15);
   }
   std::vector<double> wrong(2);
-  EXPECT_THROW(gru.forward_values(h, x, wrong), std::invalid_argument);
+  EXPECT_THROW(gru.forward_values_reference(h, x, wrong, scratch),
+               std::invalid_argument);
 }
 
 TEST(ApplyActivationValues, MatchesVarPath) {

@@ -9,15 +9,13 @@
 //  * Concurrency: concurrent first lookups through one shared cache
 //    produce exactly one compile and bit-identical outputs (the TSan
 //    coverage for read-only plan sharing — wired into check_tsan.sh);
-//  * Plumbing: EvalService injects one cache into all workers, the model
-//    registry's cache survives a weights hot swap, and CHAINNET_INTERPRET=1
-//    dispatches to the reference executor without compiling anything.
+//  * Plumbing: EvalService injects one cache into all workers, and the
+//    model registry's cache survives a weights hot swap.
 #include "gnn/plan.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -95,19 +93,17 @@ struct NamedConfig {
   ChainNetConfig cfg;
 };
 
-/// Every ablation of the batch-parity suite plus the unfused kernel path:
-/// the plan executor must be bit-exact on all of them.
+/// Every ablation of the batch-parity suite: the plan executor must be
+/// bit-exact against the interpreted walk (which runs the pre-fusion
+/// kernels) on all of them.
 std::vector<NamedConfig> all_configs() {
   ChainNetConfig no_attention;
   no_attention.attention_aggregation = false;
-  ChainNetConfig unfused;
-  unfused.fused_kernels = false;
   return {{"chainnet", ChainNetConfig{}},
           {"alpha", ChainNetConfig::ablation_alpha()},
           {"beta", ChainNetConfig::ablation_beta()},
           {"delta", ChainNetConfig::ablation_delta()},
-          {"mean_agg", no_attention},
-          {"unfused", unfused}};
+          {"mean_agg", no_attention}};
 }
 
 class PlanParitySweep : public ::testing::TestWithParam<int> {};
@@ -127,7 +123,7 @@ TEST_P(PlanParitySweep, ReplayMatchesInterpretedOnEveryConfig) {
     const auto graphs = build_graphs(model, system, placements);
     const auto ptrs = pointers(graphs);
 
-    // Scalar executor vs the interpreted walk, per lane.
+    // Width-1 replay vs the interpreted walk, per lane.
     for (std::size_t b = 0; b < graphs.size(); ++b) {
       SCOPED_TRACE("lane " + std::to_string(b));
       const auto replayed = model.forward_values(graphs[b]);
@@ -135,7 +131,7 @@ TEST_P(PlanParitySweep, ReplayMatchesInterpretedOnEveryConfig) {
       expect_values_equal(replayed, reference);
     }
 
-    // Batched executor vs the interpreted batch walk.
+    // Width-B replay vs the interpreted batch walk.
     const auto replayed = model.forward_values_batch(ptrs);
     const auto reference = model.forward_values_batch_interpreted(ptrs);
     ASSERT_EQ(replayed.size(), reference.size());
@@ -349,13 +345,19 @@ TEST(PlanCache, EvalServiceSharesOneCacheAcrossWorkers) {
   cfg.hidden = 8;
   cfg.iterations = 2;
 
+  // Every evaluator records the cache it is handed, so the sharing is
+  // checked directly rather than inferred from which worker happened to
+  // run which chunk.
+  std::vector<const gnn::PlanCache*> installed;
   runtime::ThreadPool pool(2);
   runtime::EvalService service(
       pool,
-      [cfg](support::Rng) -> std::unique_ptr<optim::PlacementEvaluator> {
+      [cfg, &installed](
+          support::Rng) -> std::unique_ptr<optim::PlacementEvaluator> {
         struct Owning final : optim::PlacementEvaluator {
-          explicit Owning(const ChainNetConfig& c)
-              : rng(3), model(c, rng), eval(model) {}
+          Owning(const ChainNetConfig& c,
+                 std::vector<const gnn::PlanCache*>& sink)
+              : rng(3), model(c, rng), eval(model), log(sink) {}
           double total_throughput(const edge::EdgeSystem& s,
                                   const edge::Placement& p) override {
             record_evaluation();
@@ -367,50 +369,28 @@ TEST(PlanCache, EvalServiceSharesOneCacheAcrossWorkers) {
             eval.total_throughput_batch(s, ps, out);
           }
           void set_plan_cache(std::shared_ptr<gnn::PlanCache> c) override {
+            log.push_back(c.get());
             model.set_plan_cache(std::move(c));
           }
           Rng rng;
           ChainNet model;
           Surrogate eval;
+          std::vector<const gnn::PlanCache*>& log;
         };
-        return std::make_unique<Owning>(cfg);
+        return std::make_unique<Owning>(cfg, installed);
       },
       99);
 
-  service.evaluate_batch(system, placements);
-  const auto stats = service.plan_cache()->stats();
-  // 12 placements fan out as two width-6 chunks to two workers: one
-  // compiles the width-6 plan, the other replays it from the shared cache.
-  EXPECT_EQ(stats.compiles, 1u) << "workers must share one plan cache";
-  EXPECT_GE(stats.hits, 1u);
-}
-
-TEST(PlanDispatch, InterpretEnvBypassesCompilationEntirely) {
-  const auto system = medium_system(42);
-  const auto placements = random_placements(system, 2, 11);
-  ChainNetConfig cfg;
-  cfg.hidden = 8;
-  cfg.iterations = 2;
-  Rng rng(3);
-  ChainNet model(cfg, rng);
-  const auto graphs = build_graphs(model, system, placements);
-  const auto ptrs = pointers(graphs);
-
-  ASSERT_EQ(setenv("CHAINNET_INTERPRET", "1", 1), 0);
-  const auto scalar_env = model.forward_values(graphs[0]);
-  const auto batch_env = model.forward_values_batch(ptrs);
-  EXPECT_EQ(model.plan_cache()->stats().compiles, 0u)
-      << "CHAINNET_INTERPRET=1 must run the reference executor only";
-  ASSERT_EQ(unsetenv("CHAINNET_INTERPRET"), 0);
-
-  const auto scalar_plan = model.forward_values(graphs[0]);
-  const auto batch_plan = model.forward_values_batch(ptrs);
-  EXPECT_GE(model.plan_cache()->stats().compiles, 1u);
-  expect_values_equal(scalar_env, scalar_plan);
-  ASSERT_EQ(batch_env.size(), batch_plan.size());
-  for (std::size_t b = 0; b < batch_env.size(); ++b) {
-    expect_values_equal(batch_env[b], batch_plan[b]);
+  // One evaluator per worker plus the owning thread, all on one cache.
+  ASSERT_EQ(installed.size(), 3u);
+  for (const auto* cache : installed) {
+    EXPECT_EQ(cache, service.plan_cache().get());
   }
+  service.evaluate_batch(system, placements);
+  // 12 placements fan out as two width-6 chunks: the first chunk compiles
+  // the width-6 plan, and the second replays it whichever worker runs it.
+  EXPECT_EQ(service.plan_cache()->stats().compiles, 1u)
+      << "workers must share one plan cache";
 }
 
 TEST(PlanDump, ListsOpsAndScratchAccounting) {
@@ -428,16 +408,17 @@ TEST(PlanDump, ListsOpsAndScratchAccounting) {
   const auto graph = edge::build_graph(system, placements[0],
                                        edge::FeatureMode::kModified);
 
-  const auto scalar = gnn::compile_plan(graph, shape, 1);
-  const std::string text = scalar->dump();
-  EXPECT_NE(text.find("EncodeService"), std::string::npos) << text;
-  EXPECT_NE(text.find("GruChainStep"), std::string::npos) << text;
-  EXPECT_NE(text.find("Readout"), std::string::npos) << text;
+  const auto single = gnn::compile_plan(graph, shape, 1);
+  const std::string text = single->dump();
+  EXPECT_NE(text.find("BatchEncodeService"), std::string::npos) << text;
+  EXPECT_NE(text.find("BatchGruChainStep"), std::string::npos) << text;
+  EXPECT_NE(text.find("BatchReadout"), std::string::npos) << text;
   EXPECT_NE(text.find("scratch:"), std::string::npos) << text;
 
   const auto batched = gnn::compile_plan(graph, shape, 32);
-  EXPECT_NE(batched->dump().find("BatchGruChainStep"), std::string::npos);
-  EXPECT_NE(scalar->fingerprint, batched->fingerprint)
+  EXPECT_EQ(batched->ops.size(), single->ops.size())
+      << "width sets panel columns, never the op list";
+  EXPECT_NE(single->fingerprint, batched->fingerprint)
       << "width is part of the plan key";
 }
 
