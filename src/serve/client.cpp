@@ -1,6 +1,5 @@
 #include "serve/client.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -36,24 +35,20 @@ Json make_eval_request(std::span<const edge::Placement> placements,
 }
 
 Client::Client(const std::string& host, int port) {
+  sockaddr_in addr;
+  if (!ipv4_address(host, port, addr)) {
+    throw std::runtime_error("Client: invalid host '" + host + "'");
+  }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
     throw std::runtime_error(std::string("Client: socket: ") +
                              std::strerror(errno));
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
-  if (::inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd_);
-    throw std::runtime_error("Client: invalid host '" + host + "'");
-  }
   if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     const std::string detail = std::strerror(errno);
     ::close(fd_);
-    throw std::runtime_error("Client: connect to " + numeric + ":" +
+    throw std::runtime_error("Client: connect to " + host + ":" +
                              std::to_string(port) + ": " + detail);
   }
   set_low_latency(fd_);
@@ -117,21 +112,13 @@ void Client::load_system(const std::string& name,
 }
 
 Json Client::stats() {
-  Json request;
-  request["type"] = Json("stats");
-  return call(request);
+  return call(Json(Json::Object{{"type", Json("stats")}}));
 }
 
-void Client::ping() {
-  Json request;
-  request["type"] = Json("ping");
-  call(request);
-}
+void Client::ping() { call(Json(Json::Object{{"type", Json("ping")}})); }
 
 void Client::request_shutdown() {
-  Json request;
-  request["type"] = Json("shutdown");
-  call(request);
+  call(Json(Json::Object{{"type", Json("shutdown")}}));
 }
 
 }  // namespace chainnet::serve

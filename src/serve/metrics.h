@@ -89,11 +89,17 @@ class SizeHistogram {
   std::atomic<std::uint64_t> total_{0};
 };
 
+/// The counters the connection core (listener.h) keeps for a front end.
+struct FrameMetrics {
+  Counter connections_accepted;
+  Counter requests_total;  ///< every decoded frame, any type
+  Counter parse_errors;    ///< malformed frames / JSON
+  Counter bad_requests;
+};
+
 /// Every live counter the `stats` endpoint reports. Owned by serve::Server;
 /// split out so tests and benches can assert on it directly.
-struct ServerMetrics {
-  Counter connections_accepted;
-  Counter requests_total;       ///< every decoded frame, any type
+struct ServerMetrics : FrameMetrics {
   Counter eval_requests;        ///< eval requests admitted or rejected
   Counter placements_received;  ///< placements carried by eval requests
   Counter placements_evaluated; ///< placements actually scored
@@ -101,8 +107,6 @@ struct ServerMetrics {
   Counter rejects_overload;     ///< admission-control fast rejects
   Counter rejects_shutdown;     ///< evals arriving while draining
   Counter deadline_drops;       ///< expired before evaluation
-  Counter parse_errors;         ///< malformed frames / JSON
-  Counter bad_requests;
   LatencyHistogram service_latency;  ///< frame decoded -> response written
   SizeHistogram batch_sizes;
 };

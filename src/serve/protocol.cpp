@@ -1,11 +1,16 @@
 #include "serve/protocol.h"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 namespace chainnet::serve {
 
@@ -27,21 +32,6 @@ constexpr CodeName kCodeNames[] = {
     {ErrorCode::kUpstreamFailed, "upstream_failed"},
 };
 
-/// send() with MSG_NOSIGNAL so a vanished peer surfaces as EPIPE, not a
-/// process-killing signal; loops over EINTR and short writes.
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Returns bytes read (== size), 0 on EOF at the first byte, -1 on error
 /// or EOF mid-buffer.
 int recv_all(int fd, char* data, std::size_t size) {
@@ -59,6 +49,28 @@ int recv_all(int fd, char* data, std::size_t size) {
 }
 
 }  // namespace
+
+bool ipv4_address(const std::string& host, int port, sockaddr_in& out) {
+  out = sockaddr_in{};
+  out.sin_family = AF_INET;
+  out.sin_port = htons(static_cast<std::uint16_t>(port));
+  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
+  return ::inet_pton(AF_INET, numeric.c_str(), &out.sin_addr) == 1;
+}
+
+bool send_all(int fd, std::string_view data) {
+  // MSG_NOSIGNAL: a vanished peer surfaces as EPIPE, not a process-killing
+  // signal.
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
 
 void set_low_latency(int fd) noexcept {
   const int one = 1;
@@ -94,7 +106,7 @@ bool write_frame(int fd, std::string_view payload) {
   frame.push_back(static_cast<char>((size >> 8) & 0xff));
   frame.push_back(static_cast<char>(size & 0xff));
   frame.append(payload);
-  return send_all(fd, frame.data(), frame.size());
+  return send_all(fd, frame);
 }
 
 FrameStatus read_frame(int fd, std::string& payload, std::string& error) {
@@ -125,6 +137,27 @@ FrameStatus read_frame(int fd, std::string& payload, std::string& error) {
     return FrameStatus::kError;
   }
   return FrameStatus::kOk;
+}
+
+edge::Placement parse_placement(const support::Json& rows) {
+  std::vector<std::vector<int>> assignment;
+  for (const auto& row : rows.as_array()) {
+    std::vector<int> devices;
+    for (const auto& dev : row.as_array()) {
+      const double v = dev.as_number();
+      // static_cast<int> of an out-of-range double is undefined behavior,
+      // so the range check must precede the cast.
+      if (v != std::floor(v) ||
+          v < static_cast<double>(std::numeric_limits<int>::min()) ||
+          v > static_cast<double>(std::numeric_limits<int>::max())) {
+        throw support::JsonError(
+            "device index must be an integer in int range", 0);
+      }
+      devices.push_back(static_cast<int>(v));
+    }
+    assignment.push_back(std::move(devices));
+  }
+  return edge::Placement(std::move(assignment));
 }
 
 support::Json ok_response() {

@@ -23,7 +23,10 @@
 #include <string>
 #include <string_view>
 
+#include "edge/placement.h"
 #include "support/json.h"
+
+struct sockaddr_in;
 
 namespace chainnet::serve {
 
@@ -69,6 +72,15 @@ enum class FrameStatus {
 /// non-TCP sockets (e.g. the socketpairs tests use).
 void set_low_latency(int fd) noexcept;
 
+/// Fills `out` with host:port as an IPv4 address. `host` is a dotted quad
+/// or "localhost" (127.0.0.1); anything else returns false.
+bool ipv4_address(const std::string& host, int port, sockaddr_in& out);
+
+/// Sends all of `data`, looping over EINTR and short writes. Returns false
+/// when the peer is gone (EPIPE/ECONNRESET — never raises SIGPIPE) or a
+/// send timeout expired.
+bool send_all(int fd, std::string_view data);
+
 /// Writes one frame; loops over partial writes. Returns false when the
 /// peer is gone (EPIPE/ECONNRESET — never raises SIGPIPE).
 bool write_frame(int fd, std::string_view payload);
@@ -77,6 +89,11 @@ bool write_frame(int fd, std::string_view payload);
 /// EOF mid-frame is kError (truncation), EOF on the prefix boundary is a
 /// clean kClosed.
 FrameStatus read_frame(int fd, std::string& payload, std::string& error);
+
+/// Decodes one placement of an eval request: rows of device indices, one
+/// row per chain. Throws support::JsonError on a wrong-typed value or an
+/// index that is not an integer in int range.
+edge::Placement parse_placement(const support::Json& rows);
 
 /// Response builders shared by server, client and tests.
 support::Json ok_response();

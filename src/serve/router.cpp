@@ -1,6 +1,5 @@
 #include "serve/router.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -9,34 +8,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "edge/placement.h"
 #include "tensor/kernels.h"
 
 namespace chainnet::serve {
 
 using support::Json;
 
-struct Router::Connection {
-  int fd = -1;
-  bool metrics = false;
-  std::atomic<bool> done{false};
-  std::thread thread;
-};
-
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 /// Bound on a blocked upstream read: a backend that accepted the request
 /// but will never answer (wedged, not dead) must not pin a router reader
@@ -45,19 +28,6 @@ constexpr timeval kUpstreamRecvTimeout{30, 0};
 constexpr timeval kUpstreamSendTimeout{5, 0};
 /// Bound on reading the HTTP request line of a metrics scrape.
 constexpr timeval kMetricsRecvTimeout{2, 0};
-
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 void append_metric(std::string& out, std::string_view name,
                    std::string_view type, std::string_view labels,
@@ -86,275 +56,68 @@ bool response_ok(const Json& doc) {
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
       ring_(config_.backends.size(),
-            std::max(1, config_.vnodes_per_backend)) {
+            std::max(1, config_.vnodes_per_backend)),
+      backend_forwards_(config_.backends.size()),
+      backend_errors_(config_.backends.size()),
+      // Optimistic start: every backend is presumed healthy until a probe
+      // or a live request says otherwise, so traffic flows at once.
+      healthy_(config_.backends.size(), 1),  // LINT:unguarded(constructor)
+      backend_stats_(config_.backends.size()),  // LINT:unguarded(constructor)
+      listener_([this](int fd) { serve_client(fd); }),
+      metrics_listener_([this](int fd) { serve_metrics(fd); }) {
   if (config_.backends.empty()) {
     throw std::runtime_error("Router: at least one backend is required");
   }
-  const std::size_t n = config_.backends.size();
-  backend_forwards_.reserve(n);
-  backend_errors_.reserve(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    backend_forwards_.push_back(std::make_unique<Counter>());
-    backend_errors_.push_back(std::make_unique<Counter>());
-  }
-  // Optimistic start: every backend is presumed healthy until a probe or a
-  // live request says otherwise, so traffic flows before the first tick.
-  // LINT:unguarded(constructor — no reader/health thread exists yet)
-  healthy_.assign(n, 1);
-  backend_stats_.resize(n);  // LINT:unguarded(constructor — no threads yet)
 }
 
 Router::~Router() { stop(); }
 
-namespace {
-
-int listen_on(const std::string& host, int port, int& bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("Router: socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
-  if (::inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("Router: invalid host '" + host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 64) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    throw_errno("Router: bind/listen on " + numeric + ":" +
-                std::to_string(port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
-  bound_port = static_cast<int>(ntohs(bound.sin_port));
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  return fd;
-}
-
-}  // namespace
-
 void Router::start() {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (started_) throw std::runtime_error("Router: already started");
-  }
-  listen_fd_ = listen_on(config_.host, config_.port, bound_port_);
+  listener_.start(config_.host, config_.port);
   if (config_.metrics_port >= 0) {
     try {
-      metrics_fd_ =
-          listen_on(config_.host, config_.metrics_port, bound_metrics_port_);
+      metrics_listener_.start(config_.host, config_.metrics_port);
     } catch (...) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+      listener_.stop();
       throw;
     }
   }
-  if (::pipe(wake_pipe_) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (metrics_fd_ >= 0) ::close(metrics_fd_);
-    metrics_fd_ = -1;
-    errno = err;
-    throw_errno("Router: pipe");
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    started_ = true;
-  }
   health_thread_ = std::thread([this] { health_loop(); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void Router::wait() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  state_cv_.wait(lock, [this] { return shutdown_requested_ || stopped_; });
-}
-
-bool Router::wait_for(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  return state_cv_.wait_for(
-      lock, timeout, [this] { return shutdown_requested_ || stopped_; });
 }
 
 void Router::stop() {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    const bool was_running = started_ && !stopped_;
-    stopped_ = true;
-    if (!was_running) {
-      state_cv_.notify_all();
-      return;
-    }
-  }
-  state_cv_.notify_all();  // wakes wait() and the health thread's timer
-
-  const char wake = 1;
-  while (::write(wake_pipe_[1], &wake, 1) < 0 && errno == EINTR) {
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (!listener_.stop_accepting()) return;
+  metrics_listener_.stop_accepting();
   if (health_thread_.joinable()) health_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (metrics_fd_ >= 0) ::close(metrics_fd_);
-  metrics_fd_ = -1;
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-
-  // Half-close client sockets so idle readers see EOF at once. A reader
-  // blocked on an upstream round trip finishes within the upstream
-  // recv/send timeouts — stop() is graceful, not instantaneous. The lock
-  // covers only taking ownership of the list; the shutdowns, joins, and
-  // closes run outside it so stop() never blocks with conn_mutex_ held.
-  std::vector<std::unique_ptr<Connection>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    doomed.swap(connections_);
-  }
-  for (auto& conn : doomed) {
-    if (!conn->done.load(std::memory_order_acquire)) {
-      ::shutdown(conn->fd, SHUT_RD);
-    }
-  }
-  for (auto& conn : doomed) {
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-  }
+  // A session blocked on an upstream round trip finishes within the
+  // upstream recv/send timeouts: stop() is graceful, not instantaneous.
+  listener_.close_connections();
+  metrics_listener_.close_connections();
 }
 
-void Router::accept_loop() {
-  for (;;) {
-    pollfd fds[3] = {{wake_pipe_[0], POLLIN, 0},
-                     {listen_fd_, POLLIN, 0},
-                     {metrics_fd_, POLLIN, 0}};
-    // A disabled metrics listener (fd -1) is legal in poll: the slot is
-    // simply ignored.
-    const int ready = ::poll(fds, 3, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[0].revents != 0) break;  // stop() wrote the wake byte
-    for (int which = 1; which <= 2; ++which) {
-      if ((fds[which].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      const int fd = ::accept(fds[which].fd, nullptr, nullptr);
-      if (fd < 0) continue;  // raced abort / EAGAIN: poll again
-      auto conn = std::make_unique<Connection>();
-      conn->fd = fd;
-      conn->metrics = which == 2;
-      Connection* raw = conn.get();
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      reap_finished_connections();
-      if (raw->metrics) {
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kMetricsRecvTimeout,
-                     sizeof(kMetricsRecvTimeout));
-        conn->thread = std::thread([this, raw] { metrics_loop(raw); });
-      } else {
-        metrics_.connections_accepted.add();
-        set_low_latency(fd);
-        conn->thread = std::thread([this, raw] { reader_loop(raw); });
-      }
-      connections_.push_back(std::move(conn));
-    }
-  }
-}
-
-void Router::reap_finished_connections() {
-  // LINT:unguarded(caller holds conn_mutex_ — the accept loop reaps while
-  // already inside its lock_guard, mirroring serve::Server)
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    if (!conn->done.load(std::memory_order_acquire)) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-    return true;
-  });
-}
-
-void Router::reader_loop(Connection* conn) {
-  using Clock = std::chrono::steady_clock;
+void Router::serve_client(int fd) {
   // Each client connection keeps one lazily-opened socket per backend:
   // requests on one connection are serial, so the sockets are single-owner,
   // and a long-lived client amortizes its connects to zero.
   std::vector<int> upstreams(config_.backends.size(), -1);
-  std::string payload;
-  std::string frame_error;
-  for (;;) {
-    const FrameStatus status = read_frame(conn->fd, payload, frame_error);
-    if (status == FrameStatus::kClosed) break;
-    if (status == FrameStatus::kError) {
-      metrics_.parse_errors.add();
-      write_frame(conn->fd,
-                  error_response(ErrorCode::kParseError, frame_error).dump());
-      break;
-    }
-    const auto start = Clock::now();
-    metrics_.requests_total.add();
-    std::string response;
-    try {
-      response = dispatch(payload, upstreams);
-    } catch (const std::exception& e) {
-      metrics_.bad_requests.add();
-      response = error_response(ErrorCode::kInternal, e.what()).dump();
-    }
-    const bool written = write_frame(conn->fd, response);
-    metrics_.route_latency.record(
-        std::chrono::duration<double>(Clock::now() - start).count());
-    if (!written) break;
+  listener_.serve_frames(
+      fd, metrics_, metrics_.route_latency,
+      [&](const std::string& type, const Json& request,
+          const std::string& payload) -> std::optional<std::string> {
+        if (type == "eval") return route_eval(request, payload, upstreams);
+        if (type == "load_system" || type == "reload") {
+          return fanout(payload, upstreams);
+        }
+        if (type == "stats") {
+          Json response = stats_json();
+          response["ok"] = Json(true);
+          return response.dump();
+        }
+        return std::nullopt;
+      });
+  for (int up : upstreams) {
+    if (up >= 0) ::close(up);
   }
-  for (int fd : upstreams) {
-    if (fd >= 0) ::close(fd);
-  }
-  conn->done.store(true, std::memory_order_release);
-}
-
-std::string Router::dispatch(const std::string& payload,
-                             std::vector<int>& upstreams) {
-  Json request;
-  try {
-    request = Json::parse(payload);
-  } catch (const support::JsonError& e) {
-    metrics_.parse_errors.add();
-    return error_response(ErrorCode::kParseError, e.what()).dump();
-  }
-  if (!request.is_object() || !request.has("type") ||
-      !request.at("type").is_string()) {
-    metrics_.bad_requests.add();
-    return error_response(ErrorCode::kBadRequest,
-                          "request must be an object with a \"type\" string")
-        .dump();
-  }
-  const std::string& type = request.at("type").as_string();
-  if (type == "ping") return ok_response().dump();
-  if (type == "eval") return route_eval(request, payload, upstreams);
-  if (type == "stats") {
-    Json response = stats_json();
-    response["ok"] = Json(true);
-    return response.dump();
-  }
-  if (type == "load_system" || type == "reload") {
-    return fanout(payload, upstreams);
-  }
-  if (type == "shutdown") {
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      shutdown_requested_ = true;
-    }
-    state_cv_.notify_all();
-    return ok_response().dump();
-  }
-  metrics_.bad_requests.add();
-  return error_response(ErrorCode::kBadRequest,
-                        "unknown request type '" + type + "'")
-      .dump();
 }
 
 std::uint64_t Router::routing_key(const Json& request) const {
@@ -367,23 +130,9 @@ std::uint64_t Router::routing_key(const Json& request) const {
   // alone — the backend owns the authoritative reject.
   try {
     const auto& docs = request.at("placements").as_array();
-    if (docs.empty()) return key;
-    std::vector<std::vector<int>> assignment;
-    for (const auto& row : docs.front().as_array()) {
-      std::vector<int> devices;
-      for (const auto& dev : row.as_array()) {
-        const double v = dev.as_number();
-        if (v != std::floor(v) ||
-            v < static_cast<double>(std::numeric_limits<int>::min()) ||
-            v > static_cast<double>(std::numeric_limits<int>::max())) {
-          return key;
-        }
-        devices.push_back(static_cast<int>(v));
-      }
-      assignment.push_back(std::move(devices));
+    if (!docs.empty()) {
+      key = HashRing::mix(key, parse_placement(docs.front()).canonical_hash());
     }
-    key = HashRing::mix(key,
-                        edge::Placement(std::move(assignment)).canonical_hash());
   } catch (const std::exception&) {
     // fall through: system-only key
   }
@@ -403,11 +152,11 @@ std::string Router::route_eval(const Json& request, const std::string& payload,
     if (attempts == 1) metrics_.retries.add();
     ++attempts;
     if (backend_roundtrip(b, payload, response, upstreams)) {
-      backend_forwards_[b]->add();
+      backend_forwards_[b].add();
       metrics_.evals_routed.add();
       return response;
     }
-    backend_errors_[b]->add();
+    backend_errors_[b].add();
     mark_backend(b, false);
     healthy[b] = 0;
     if (attempts >= 2) break;  // original + one retry, then give up
@@ -441,7 +190,7 @@ std::string Router::fanout(const std::string& payload,
             error_response(ErrorCode::kUpstreamFailed, e.what());
       }
     } else {
-      backend_errors_[b]->add();
+      backend_errors_[b].add();
       mark_backend(b, false);
       all_ok = false;
       entry["response"] = error_response(ErrorCode::kUpstreamFailed,
@@ -458,17 +207,10 @@ std::string Router::fanout(const std::string& payload,
 
 int Router::connect_backend(std::size_t b) const {
   const BackendAddress& addr = config_.backends[b];
+  sockaddr_in sa;
+  if (!ipv4_address(addr.host, addr.port, sa)) return -1;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<std::uint16_t>(addr.port));
-  const std::string numeric =
-      addr.host == "localhost" ? "127.0.0.1" : addr.host;
-  if (::inet_pton(AF_INET, numeric.c_str(), &sa.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
   // Non-blocking connect bounded by connect_timeout_ms, then back to
   // blocking I/O with send/recv timeouts for the round trips.
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -540,9 +282,10 @@ void Router::mark_backend(std::size_t b, bool healthy_now) {
   }
 }
 
-void Router::set_backend_stats(std::size_t b, Json stats) {
+std::pair<std::vector<char>, std::vector<Json>> Router::health_state()
+    const {
   std::lock_guard<std::mutex> lock(health_mutex_);
-  backend_stats_[b] = std::move(stats);
+  return {healthy_, backend_stats_};
 }
 
 std::vector<char> Router::healthy_snapshot() const {
@@ -550,45 +293,39 @@ std::vector<char> Router::healthy_snapshot() const {
   return healthy_;
 }
 
+Json Router::probe_stats(std::size_t b) const {
+  // Fresh connection per probe: the probe then validates the full
+  // accept -> serve path, not just an already-open socket.
+  const int fd = connect_backend(b);
+  if (fd < 0) return Json();
+  std::string response;
+  std::string frame_error;
+  const bool answered =
+      write_frame(fd, R"({"type":"stats"})") &&
+      read_frame(fd, response, frame_error) == FrameStatus::kOk;
+  ::close(fd);
+  try {
+    return answered ? Json::parse(response) : Json();
+  } catch (const std::exception&) {
+    return Json();  // unparseable stats: no snapshot
+  }
+}
+
 void Router::health_loop() {
   const auto interval = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::duration<double, std::milli>(
           std::max(1.0, config_.health_interval_ms)));
-  const std::string probe = [] {
-    Json request;
-    request["type"] = Json("stats");
-    return request.dump();
-  }();
-  for (;;) {
+  do {
     for (std::size_t b = 0; b < config_.backends.size(); ++b) {
-      // Fresh connection per probe: the probe then validates the full
-      // accept -> serve path, not just an already-open socket.
-      const int fd = connect_backend(b);
-      bool alive = false;
-      if (fd >= 0) {
-        std::string response;
-        std::string frame_error;
-        if (write_frame(fd, probe) &&
-            read_frame(fd, response, frame_error) == FrameStatus::kOk) {
-          try {
-            Json doc = Json::parse(response);
-            if (response_ok(doc)) {
-              alive = true;
-              set_backend_stats(b, std::move(doc));
-            }
-          } catch (const std::exception&) {
-            // Unparseable stats: treat the backend as down.
-          }
-        }
-        ::close(fd);
+      Json stats = probe_stats(b);
+      const bool alive = response_ok(stats);
+      if (alive) {
+        std::lock_guard<std::mutex> lock(health_mutex_);
+        backend_stats_[b] = std::move(stats);
       }
       mark_backend(b, alive);
     }
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    if (state_cv_.wait_for(lock, interval, [this] { return stopped_; })) {
-      return;
-    }
-  }
+  } while (!listener_.wait_stopped_for(interval));
 }
 
 Json Router::stats_json() const {
@@ -617,44 +354,19 @@ Json Router::stats_json() const {
   lat["p99_s"] = Json(latency.quantile(0.99));
   doc["route_latency"] = std::move(lat);
 
-  std::vector<char> healthy;
-  std::vector<Json> cached;
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    healthy = healthy_;
-    cached = backend_stats_;
-  }
+  auto [healthy, cached] = health_state();
   Json backends;
-  const std::string probe = [] {
-    Json request;
-    request["type"] = Json("stats");
-    return request.dump();
-  }();
   for (std::size_t b = 0; b < config_.backends.size(); ++b) {
     Json entry;
     entry["address"] = Json(config_.backends[b].label());
     entry["healthy"] = Json(healthy[b] != 0);
-    entry["forwarded"] = count(*backend_forwards_[b]);
-    entry["errors"] = count(*backend_errors_[b]);
+    entry["forwarded"] = count(backend_forwards_[b]);
+    entry["errors"] = count(backend_errors_[b]);
     // Live snapshot when reachable so a stats caller (the reload test, an
     // operator) sees the backend's *current* model section; the cached
     // health-probe snapshot is the fallback.
-    Json stats = cached[b];
-    if (healthy[b]) {
-      const int fd = connect_backend(b);
-      if (fd >= 0) {
-        std::string response;
-        std::string frame_error;
-        if (write_frame(fd, probe) &&
-            read_frame(fd, response, frame_error) == FrameStatus::kOk) {
-          try {
-            stats = Json::parse(response);
-          } catch (const std::exception&) {
-          }
-        }
-        ::close(fd);
-      }
-    }
+    Json stats = healthy[b] ? probe_stats(b) : Json();
+    if (stats.is_null()) stats = std::move(cached[b]);
     if (!stats.is_null()) entry["stats"] = std::move(stats);
     backends.push_back(std::move(entry));
   }
@@ -706,29 +418,21 @@ std::string Router::prometheus_text() const {
   append_metric(out, "chainnet_router_latency_seconds_count", "", "",
                 static_cast<double>(latency.total));
 
-  std::vector<char> healthy;
-  std::vector<Json> cached;
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    healthy = healthy_;
-    cached = backend_stats_;
-  }
-  out.append("# TYPE chainnet_router_backend_up gauge\n");
-  for (std::size_t b = 0; b < config_.backends.size(); ++b) {
-    append_metric(out, "chainnet_router_backend_up", "",
-                  backend_label(config_.backends[b]), healthy[b] ? 1.0 : 0.0);
-  }
-  out.append("# TYPE chainnet_router_backend_forwarded_total counter\n");
-  for (std::size_t b = 0; b < config_.backends.size(); ++b) {
-    append_metric(out, "chainnet_router_backend_forwarded_total", "",
-                  backend_label(config_.backends[b]),
-                  v(*backend_forwards_[b]));
-  }
-  out.append("# TYPE chainnet_router_backend_errors_total counter\n");
-  for (std::size_t b = 0; b < config_.backends.size(); ++b) {
-    append_metric(out, "chainnet_router_backend_errors_total", "",
-                  backend_label(config_.backends[b]), v(*backend_errors_[b]));
-  }
+  auto [healthy, cached] = health_state();
+  const auto per_backend = [&](const char* name, const char* type,
+                               const auto& value) {
+    out.append("# TYPE ").append(name).append(" ").append(type).append("\n");
+    for (std::size_t b = 0; b < config_.backends.size(); ++b) {
+      append_metric(out, name, "", backend_label(config_.backends[b]),
+                    value(b));
+    }
+  };
+  per_backend("chainnet_router_backend_up", "gauge",
+              [&](std::size_t b) { return healthy[b] ? 1.0 : 0.0; });
+  per_backend("chainnet_router_backend_forwarded_total", "counter",
+              [&](std::size_t b) { return v(backend_forwards_[b]); });
+  per_backend("chainnet_router_backend_errors_total", "counter",
+              [&](std::size_t b) { return v(backend_errors_[b]); });
   // Backend-reported counters, aggregated from the health probes' cached
   // stats snapshots (absent until the first successful probe).
   struct Field {
@@ -764,11 +468,14 @@ std::string Router::prometheus_text() const {
   return out;
 }
 
-void Router::metrics_loop(Connection* conn) {
+void Router::serve_metrics(int fd) {
   // Best-effort HTTP: read whatever request bytes arrive (bounded by the
-  // recv timeout), answer one exposition, close. Every scraper speaks this.
+  // recv timeout), answer one exposition, hang up. Every scraper speaks
+  // this.
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kMetricsRecvTimeout,
+               sizeof(kMetricsRecvTimeout));
   char buf[1024];
-  while (::recv(conn->fd, buf, sizeof(buf), 0) < 0 && errno == EINTR) {
+  while (::recv(fd, buf, sizeof(buf), 0) < 0 && errno == EINTR) {
   }
   metrics_.metrics_scrapes.add();
   const std::string body = prometheus_text();
@@ -780,11 +487,7 @@ void Router::metrics_loop(Connection* conn) {
   response.append("Content-Length: " + std::to_string(body.size()) + "\r\n");
   response.append("Connection: close\r\n\r\n");
   response.append(body);
-  send_all(conn->fd, response.data(), response.size());
-  // Deliver EOF now: scrapers read until close, and the fd itself is only
-  // reclaimed at the next accept-loop reap, which may be much later.
-  ::shutdown(conn->fd, SHUT_RDWR);
-  conn->done.store(true, std::memory_order_release);
+  send_all(fd, response);
 }
 
 }  // namespace chainnet::serve

@@ -24,21 +24,22 @@
 // Failure handling: a backend that fails mid-request (connect, write, or
 // read) is ejected and the request is retried ONCE on the next healthy
 // backend in ring-walk order; a second failure answers the client with the
-// typed "upstream_failed" error. Non-eval requests fan out: "load_system"
-// and "reload" go to every backend, "stats" merges the router's own
-// counters with a live per-backend snapshot.
+// typed "upstream_failed" error. "load_system" and "reload" fan out to
+// every backend; "stats" merges the router's own counters with a live
+// per-backend snapshot; "ping" and "shutdown" are answered by the router.
+// Both listeners are serve::Listener cores (listener.h).
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/hash_ring.h"
+#include "serve/listener.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "support/json.h"
@@ -75,15 +76,11 @@ struct RouterConfig {
 
 /// Router-side counters (the backends keep their own; ServerMetrics).
 /// LINT:counters — Counter is the relaxed-atomic type from metrics.h.
-struct RouterMetrics {
-  Counter connections_accepted;
-  Counter requests_total;      ///< every decoded frame, any type
+struct RouterMetrics : FrameMetrics {
   Counter evals_routed;        ///< eval requests answered by a backend
   Counter retries;             ///< evals re-routed after a backend failure
   Counter upstream_failures;   ///< evals answered with upstream_failed
   Counter fanout_requests;     ///< load_system / reload broadcasts
-  Counter parse_errors;
-  Counter bad_requests;
   Counter ejections;           ///< healthy -> unhealthy transitions
   Counter reinstatements;      ///< unhealthy -> healthy transitions
   Counter metrics_scrapes;
@@ -105,14 +102,16 @@ class Router {
 
   /// Actually-bound ports (resolve port 0). Valid after start();
   /// metrics_port() is -1 when the metrics listener is disabled.
-  int port() const noexcept { return bound_port_; }
-  int metrics_port() const noexcept { return bound_metrics_port_; }
+  int port() const noexcept { return listener_.port(); }
+  int metrics_port() const noexcept { return metrics_listener_.port(); }
 
   /// Blocks until a client sends {"type":"shutdown"} or stop() is called;
   /// wait_for is the poll-friendly variant (true = shutdown, false =
   /// timeout).
-  void wait();
-  bool wait_for(std::chrono::milliseconds timeout);
+  void wait() { listener_.wait(); }
+  bool wait_for(std::chrono::milliseconds timeout) {
+    return listener_.wait_for(timeout);
+  }
 
   /// Stops accepting, joins every thread, closes every socket. Idempotent.
   /// Backends are left running — the router does not own them.
@@ -131,18 +130,12 @@ class Router {
   std::string prometheus_text() const;
 
  private:
-  struct Connection;
-
-  void accept_loop();
-  void reader_loop(Connection* conn);
-  void metrics_loop(Connection* conn);
+  void serve_client(int fd);
+  void serve_metrics(int fd);
   void health_loop();
-  void reap_finished_connections();  // conn_mutex_ held
 
   // These return the serialized response payload: a routed eval relays the
   // backend's bytes verbatim instead of re-parsing and re-dumping them.
-  std::string dispatch(const std::string& payload,
-                       std::vector<int>& upstreams);
   std::string route_eval(const support::Json& request,
                          const std::string& payload,
                          std::vector<int>& upstreams);
@@ -158,40 +151,30 @@ class Router {
   bool backend_roundtrip(std::size_t b, const std::string& payload,
                          std::string& response, std::vector<int>& upstreams);
   int connect_backend(std::size_t b) const;
+  /// A `stats` round trip on a fresh connection to backend `b`: the parsed
+  /// reply, or null when the backend is unreachable or answers garbage.
+  support::Json probe_stats(std::size_t b) const;
 
+  /// Copies of healthy_ and backend_stats_, taken under one lock.
+  std::pair<std::vector<char>, std::vector<support::Json>> health_state()
+      const;
   void mark_backend(std::size_t b, bool healthy_now);
-  void set_backend_stats(std::size_t b, support::Json stats);
 
   RouterConfig config_;
   HashRing ring_;
   RouterMetrics metrics_;
-  std::vector<std::unique_ptr<Counter>> backend_forwards_;
-  std::vector<std::unique_ptr<Counter>> backend_errors_;
+  std::vector<Counter> backend_forwards_;  // sized once, never resized
+  std::vector<Counter> backend_errors_;
 
-  // Health state: written by the health thread and by readers observing a
+  // Health state: written by the health thread and by sessions observing a
   // mid-request failure; read on every routing decision.
   mutable std::mutex health_mutex_;
   std::vector<char> healthy_;                  // GUARDED_BY(health_mutex_)
   std::vector<support::Json> backend_stats_;   // GUARDED_BY(health_mutex_)
 
-  // Lifecycle (mirrors serve::Server).
-  std::mutex state_mutex_;
-  std::condition_variable state_cv_;
-  bool started_ = false;             // GUARDED_BY(state_mutex_)
-  bool stopped_ = false;             // GUARDED_BY(state_mutex_)
-  bool shutdown_requested_ = false;  // GUARDED_BY(state_mutex_)
-
-  int listen_fd_ = -1;
-  int metrics_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  int bound_port_ = 0;
-  int bound_metrics_port_ = -1;
-  std::thread accept_thread_;
   std::thread health_thread_;
-
-  mutable std::mutex conn_mutex_;
-  std::vector<std::unique_ptr<Connection>>
-      connections_;  // GUARDED_BY(conn_mutex_)
+  Listener listener_;
+  Listener metrics_listener_;
 };
 
 }  // namespace chainnet::serve

@@ -1,20 +1,8 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cmath>
-#include <cstring>
 #include <future>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -28,7 +16,7 @@ namespace chainnet::serve {
 using support::Json;
 
 /// Shared completion state of one eval request. All mutation happens on the
-/// flusher thread (values, failure, completion); the reader thread only
+/// flusher thread (values, failure, completion); the session thread only
 /// waits on `done` and reads afterwards, synchronized by the promise.
 struct Server::RequestState {
   explicit RequestState(std::size_t n) : values(n), remaining(n) {}
@@ -52,7 +40,7 @@ struct Server::RequestState {
   }
 };
 
-/// One placement awaiting evaluation, queued by a reader thread.
+/// One placement awaiting evaluation, queued by a session thread.
 struct Server::PendingItem {
   std::shared_ptr<RequestState> state;
   std::size_t index = 0;
@@ -62,37 +50,12 @@ struct Server::PendingItem {
   Clock::time_point deadline;  // time_point::max() when none
 };
 
-struct Server::Connection {
-  int fd = -1;
-  std::atomic<bool> done{false};
-  std::thread thread;
-};
-
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 /// Client deadlines saturate here: converting an arbitrary double to the
 /// clock's integer rep overflows for huge values, and anything beyond an
 /// hour is indistinguishable from "no deadline" for a microbatched eval.
 constexpr double kMaxDeadlineMs = 3600.0 * 1000.0;
-
-/// Bound on how long a response write may block on a peer that stopped
-/// reading, so a stalled client cannot hang graceful shutdown.
-constexpr timeval kSendTimeout{5, 0};
-
-void set_blocking_with_send_timeout(int fd) noexcept {
-  // Accepted sockets inherit O_NONBLOCK from the listener on the BSDs
-  // (not on Linux); the readers want plain blocking I/O either way.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0 && (flags & O_NONBLOCK) != 0) {
-    ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-  }
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kSendTimeout,
-               sizeof(kSendTimeout));
-}
 
 }  // namespace
 
@@ -101,7 +64,13 @@ Server::Server(runtime::EvalService& service, ServerConfig config)
       config_(std::move(config)),
       flush_window_(std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::duration<double, std::milli>(
-              std::max(0.0, config_.flush_window_ms)))) {
+              std::max(0.0, config_.flush_window_ms)))),
+      listener_([this](int fd) {
+        listener_.serve_frames(
+            fd, metrics_, metrics_.service_latency,
+            [this](const std::string& type, const Json& request,
+                   const std::string&) { return handle(type, request); });
+      }) {
   config_.max_batch = std::max(1, config_.max_batch);
   config_.max_pending = std::max<std::size_t>(1, config_.max_pending);
 }
@@ -128,94 +97,13 @@ const edge::EdgeSystem* Server::find_system(const std::string& name) const {
 }
 
 void Server::start() {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (started_) throw std::runtime_error("Server: already started");
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  const std::string host =
-      config_.host == "localhost" ? "127.0.0.1" : config_.host;
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("Server: invalid host '" + config_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    errno = err;
-    throw_errno("Server: bind/listen on " + host + ":" +
-                std::to_string(config_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  bound_port_ = static_cast<int>(ntohs(bound.sin_port));
-  // Non-blocking listener + self-pipe: the accept loop polls both, so
-  // stop() can wake it portably (shutdown() on a listening socket only
-  // interrupts accept() on Linux) and accept() itself can never block
-  // on a connection that aborted between poll() and the call.
-  const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
-  if (::pipe(wake_pipe_) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    errno = err;
-    throw_errno("Server: pipe");
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    started_ = true;
-  }
+  listener_.start(config_.host, config_.port);
   flusher_thread_ = std::thread([this] { flusher_loop(); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void Server::wait() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  state_cv_.wait(lock, [this] { return shutdown_requested_ || stopped_; });
-}
-
-bool Server::wait_for(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  return state_cv_.wait_for(
-      lock, timeout, [this] { return shutdown_requested_ || stopped_; });
 }
 
 void Server::stop() {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    const bool was_running = started_ && !stopped_;
-    stopped_ = true;
-    if (!was_running) {
-      state_cv_.notify_all();
-      return;
-    }
-  }
-  state_cv_.notify_all();
-
-  // 1. Stop accepting: a byte down the self-pipe wakes the accept loop's
-  //    poll(), which then exits.
-  const char wake = 1;
-  while (::write(wake_pipe_[1], &wake, 1) < 0 && errno == EINTR) {
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-
+  // 1. Stop accepting.
+  if (!listener_.stop_accepting()) return;
   // 2. Drain the batcher. New evals are rejected as shutting_down; the
   //    flusher exits only once the pending queue is empty, so every
   //    admitted request has its promise fulfilled after the join.
@@ -225,150 +113,31 @@ void Server::stop() {
   }
   batch_cv_.notify_all();
   if (flusher_thread_.joinable()) flusher_thread_.join();
-
-  // 3. Half-close the connections (SHUT_RD): a reader blocked in recv sees
-  //    EOF immediately, while one still writing a drained response gets to
-  //    finish the write before its next read returns 0. A peer that stopped
-  //    reading (zero TCP window) cannot stall the join indefinitely: every
-  //    connection socket carries SO_SNDTIMEO, so the blocked send errors
-  //    out within kSendTimeout and the reader exits.
-  //    The lock covers only taking ownership of the list; the shutdowns,
-  //    joins, and closes run outside it so stop() never blocks with
-  //    conn_mutex_ held.
-  std::vector<std::unique_ptr<Connection>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    doomed.swap(connections_);
-  }
-  for (auto& conn : doomed) {
-    if (!conn->done.load(std::memory_order_acquire)) {
-      ::shutdown(conn->fd, SHUT_RD);
-    }
-  }
-  for (auto& conn : doomed) {
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-  }
+  // 3. Half-close the connections and join their sessions: one still
+  //    writing a drained response finishes the write first.
+  listener_.close_connections();
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // stop() wrote the wake byte
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-          errno == EWOULDBLOCK) {
-        continue;
-      }
-      break;  // listening socket gone
-    }
-    metrics_.connections_accepted.add();
-    set_low_latency(fd);
-    set_blocking_with_send_timeout(fd);
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    Connection* raw = conn.get();
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    reap_finished_connections();
-    conn->thread = std::thread([this, raw] { reader_loop(raw); });
-    connections_.push_back(std::move(conn));
-  }
-}
-
-void Server::reap_finished_connections() {
-  // LINT:unguarded(caller holds conn_mutex_ — the accept loop reaps while
-  // already inside its lock_guard; see the declaration comment in server.h)
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    if (!conn->done.load(std::memory_order_acquire)) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-    return true;
-  });
-}
-
-void Server::reader_loop(Connection* conn) {
-  std::string payload;
-  std::string frame_error;
-  for (;;) {
-    const FrameStatus status = read_frame(conn->fd, payload, frame_error);
-    if (status == FrameStatus::kClosed) break;
-    if (status == FrameStatus::kError) {
-      // Framing is unrecoverable — answer once, then hang up.
-      metrics_.parse_errors.add();
-      write_frame(conn->fd,
-                  error_response(ErrorCode::kParseError, frame_error).dump());
-      break;
-    }
-    const auto start = Clock::now();
-    metrics_.requests_total.add();
-    Json response;
-    try {
-      response = dispatch(payload);
-    } catch (const std::exception& e) {
-      // Last-resort guard: this runs on a detached-ish std::thread, so an
-      // escaping exception would std::terminate the whole process.
-      metrics_.bad_requests.add();
-      response = error_response(ErrorCode::kInternal, e.what());
-    }
-    const bool written = write_frame(conn->fd, response.dump());
-    metrics_.service_latency.record(
-        std::chrono::duration<double>(Clock::now() - start).count());
-    if (!written) break;
-  }
-  conn->done.store(true, std::memory_order_release);
-}
-
-Json Server::dispatch(const std::string& payload) {
-  Json request;
-  try {
-    request = Json::parse(payload);
-  } catch (const support::JsonError& e) {
-    metrics_.parse_errors.add();
-    return error_response(ErrorCode::kParseError, e.what());
-  }
-  if (!request.is_object() || !request.has("type") ||
-      !request.at("type").is_string()) {
-    metrics_.bad_requests.add();
-    return error_response(ErrorCode::kBadRequest,
-                          "request must be an object with a \"type\" string");
-  }
-  const std::string& type = request.at("type").as_string();
-  if (type == "ping") return ok_response();
-  if (type == "eval") return handle_eval(request);
+std::optional<std::string> Server::handle(const std::string& type,
+                                          const Json& request) {
+  if (type == "eval") return handle_eval(request).dump();
   if (type == "stats") {
     Json response = stats_json();
     response["ok"] = Json(true);
-    return response;
+    return response.dump();
   }
-  if (type == "reload") return handle_reload(request);
+  if (type == "reload") return handle_reload(request).dump();
   if (type == "load_system") {
     try {
       const std::string name = request.at("name").as_string();
       add_system(name, edge::system_from_json(request.at("system")));
-      return ok_response();
+      return ok_response().dump();
     } catch (const std::exception& e) {
       metrics_.bad_requests.add();
-      return error_response(ErrorCode::kBadRequest, e.what());
+      return error_response(ErrorCode::kBadRequest, e.what()).dump();
     }
   }
-  if (type == "shutdown") {
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      shutdown_requested_ = true;
-    }
-    state_cv_.notify_all();
-    return ok_response();
-  }
-  metrics_.bad_requests.add();
-  return error_response(ErrorCode::kBadRequest,
-                        "unknown request type '" + type + "'");
+  return std::nullopt;
 }
 
 Json Server::handle_reload(const Json& request) {
@@ -384,7 +153,7 @@ Json Server::handle_reload(const Json& request) {
     metrics_.bad_requests.add();
     return error_response(ErrorCode::kBadRequest, e.what());
   }
-  // Runs inline on this connection's reader thread: only the reloading
+  // Runs inline on this connection's session thread: only the reloading
   // client blocks while the new version builds; every other connection
   // keeps evaluating against the still-active version, and the flip is a
   // pointer swap — no request ever sees a half-loaded model.
@@ -428,25 +197,7 @@ Json Server::handle_eval(const Json& request) {
     }
     placements.reserve(docs.size());
     for (const auto& doc : docs) {
-      std::vector<std::vector<int>> assignment;
-      for (const auto& row : doc.as_array()) {
-        std::vector<int> devices;
-        for (const auto& dev : row.as_array()) {
-          const double v = dev.as_number();
-          // Reject non-integral and int-overflowing values up front:
-          // static_cast<int> of an out-of-range double is undefined
-          // behavior, so the range check must precede the cast.
-          if (v != std::floor(v) ||
-              v < static_cast<double>(std::numeric_limits<int>::min()) ||
-              v > static_cast<double>(std::numeric_limits<int>::max())) {
-            throw support::JsonError(
-                "device index must be an integer in int range", 0);
-          }
-          devices.push_back(static_cast<int>(v));
-        }
-        assignment.push_back(std::move(devices));
-      }
-      edge::Placement placement(std::move(assignment));
+      edge::Placement placement = parse_placement(doc);
       placement.validate(*system);
       placements.push_back(std::move(placement));
     }
@@ -539,7 +290,7 @@ void Server::flusher_loop() {
       pending_.pop_front();
     }
     // LINT:manual-lock(the flusher drops batch_mutex_ around the evaluate
-    // call so readers can keep admitting work during a long batch; it only
+    // call so sessions can keep admitting work during a long batch; it only
     // touches the popped-off locals until it re-locks below)
     lock.unlock();
 

@@ -1,38 +1,37 @@
-// TCP serving front end for the concurrent evaluation runtime: an accept
-// loop plus one reader thread per connection speak the length-prefixed JSON
-// protocol of serve/protocol.h; eval requests are microbatched across
-// connections into EvalService::evaluate_batch by a dedicated flusher
-// thread (flush when max_batch placements pend or the oldest has waited
-// flush_window_ms). Admission control bounds the pending queue — a full
-// queue fast-rejects with a typed "overloaded" error — and per-request
-// deadlines drop expired work *before* it reaches an evaluator. stop()
-// shuts down gracefully: stop accepting, drain the pending queue, answer
-// every in-flight request, then join the readers.
+// TCP serving front end for the concurrent evaluation runtime, on the
+// connection core of serve/listener.h: one session thread per connection
+// speaks the length-prefixed JSON protocol of serve/protocol.h; eval
+// requests are microbatched across connections into
+// EvalService::evaluate_batch by a dedicated flusher thread (flush when
+// max_batch placements pend or the oldest has waited flush_window_ms).
+// Admission control bounds the pending queue — a full queue fast-rejects
+// with a typed "overloaded" error — and per-request deadlines drop expired
+// work *before* it reaches an evaluator. stop() shuts down gracefully: stop
+// accepting, drain the pending queue, answer every in-flight request, then
+// join the sessions.
 //
 // Threading map (all TSan-clean):
-//   accept thread  -> spawns/reaps reader threads
-//   reader threads -> parse requests, enqueue eval items, wait on the
-//                     request future, write the response (a connection's
-//                     requests are served in order; concurrency comes from
-//                     multiple connections)
-//   flusher thread -> forms batches, calls EvalService, fulfills promises
+//   session threads -> parse requests, enqueue eval items, wait on the
+//                      request future, write the response (in order per
+//                      connection; concurrency comes from connections)
+//   flusher thread  -> forms batches, calls EvalService, fulfills promises
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "edge/model.h"
 #include "edge/placement.h"
 #include "runtime/eval_cache.h"
 #include "runtime/eval_service.h"
+#include "serve/listener.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "tensor/dtype.h"
@@ -84,13 +83,15 @@ class Server {
   void start();
 
   /// The actually-bound port (resolves port 0). Valid after start().
-  int port() const noexcept { return bound_port_; }
+  int port() const noexcept { return listener_.port(); }
 
   /// Blocks until a client sends {"type":"shutdown"} or stop() is called.
   /// wait_for returns true under the same conditions, false on timeout —
   /// a poll-friendly variant for callers that also watch signals.
-  void wait();
-  bool wait_for(std::chrono::milliseconds timeout);
+  void wait() { listener_.wait(); }
+  bool wait_for(std::chrono::milliseconds timeout) {
+    return listener_.wait_for(timeout);
+  }
 
   /// Graceful shutdown: stop accepting, drain pending evaluations (every
   /// admitted request is answered), join all threads. Idempotent.
@@ -104,15 +105,14 @@ class Server {
  private:
   struct RequestState;
   struct PendingItem;
-  struct Connection;
   using Clock = std::chrono::steady_clock;
 
-  void accept_loop();
-  void reader_loop(Connection* conn);
   void flusher_loop();
-  void reap_finished_connections();  // conn_mutex_ held
 
-  support::Json dispatch(const std::string& payload);
+  /// The eval/stats/load_system/reload half of the protocol; nullopt for
+  /// any other type.
+  std::optional<std::string> handle(const std::string& type,
+                                    const support::Json& request);
   support::Json handle_eval(const support::Json& request);
   support::Json handle_reload(const support::Json& request);
   const edge::EdgeSystem* find_system(const std::string& name) const;
@@ -132,26 +132,9 @@ class Server {
   std::deque<PendingItem> pending_;  // GUARDED_BY(batch_mutex_)
   bool draining_ = false;            // GUARDED_BY(batch_mutex_)
 
-  // Lifecycle.
-  std::mutex state_mutex_;
-  std::condition_variable state_cv_;
-  bool started_ = false;             // GUARDED_BY(state_mutex_)
-  bool stopped_ = false;             // GUARDED_BY(state_mutex_)
-  bool shutdown_requested_ = false;  // GUARDED_BY(state_mutex_)
-
-  int listen_fd_ = -1;
-  // Self-pipe that stop() writes to so the accept loop's poll() wakes
-  // portably (shutdown() on a listening socket is Linux-specific).
-  int wake_pipe_[2] = {-1, -1};
-  int bound_port_ = 0;
-  std::thread accept_thread_;
-  std::thread flusher_thread_;
-
-  std::mutex conn_mutex_;
-  std::vector<std::unique_ptr<Connection>>
-      connections_;  // GUARDED_BY(conn_mutex_)
-
   ServerMetrics metrics_;
+  std::thread flusher_thread_;
+  Listener listener_;
 };
 
 }  // namespace chainnet::serve
