@@ -71,14 +71,14 @@ int main() {
     // Baseline: one simulation-driven trial; its duration is the budget.
     optim::SimulationEvaluator sim_eval(
         bench::search_sim_config(sys, 77 + p));
-    bench::EvaluatorSaOptimizer sim_opt(sim_eval, sa);
+    search::SaOptimizer sim_opt(sim_eval, sa);
     const auto sim_result = sim_opt.run(sys, initial, sa.seed);
     const double budget = sim_result.seconds;
     budgets.add(budget);
 
     // ChainNet: as many trials as fit in the same wall-clock budget.
     optim::SurrogateEvaluator cn_eval(surrogate);
-    bench::EvaluatorSaOptimizer cn_opt(cn_eval, sa);
+    search::SaOptimizer cn_opt(cn_eval, sa);
     const auto cn_result =
         search::run_for(cn_opt, sys, initial, sa.seed, budget);
 
@@ -132,7 +132,7 @@ int main() {
       optim::SurrogateEvaluator eval(surrogate);
       optim::SaConfig sa;
       sa.max_steps = sc.sa_steps;
-      bench::EvaluatorSaOptimizer opt(eval, sa);
+      search::SaOptimizer opt(eval, sa);
       trials.push_back(
           opt.run(sys, initial, 1000 + static_cast<std::uint64_t>(t)));
     }

@@ -51,18 +51,18 @@ int main() {
 
     optim::SimulationEvaluator sim_eval(
         bench::search_sim_config(sys, 11 + p));
-    bench::EvaluatorSaOptimizer sim_opt(sim_eval, sa);
+    search::SaOptimizer sim_opt(sim_eval, sa);
     const auto sim_result =
         search::run_trials(sim_opt, sys, initial, sa.seed, trials);
     optim::SurrogateEvaluator cn_eval(surrogate);
-    bench::EvaluatorSaOptimizer cn_opt(cn_eval, sa);
+    search::SaOptimizer cn_opt(cn_eval, sa);
     const auto cn_result =
         search::run_trials(cn_opt, sys, initial, sa.seed, trials);
 
     // Extra (non-paper) series: the classical M/M/1/K decomposition as the
     // search oracle — training-free and fast, but biased under sharing.
     optim::ApproximationEvaluator approx_eval;
-    bench::EvaluatorSaOptimizer approx_opt(approx_eval, sa);
+    search::SaOptimizer approx_opt(approx_eval, sa);
     const auto approx_result =
         search::run_trials(approx_opt, sys, initial, sa.seed, trials);
 

@@ -77,7 +77,8 @@ struct Outcome {
 
 /// Restarts `round` (one trial / trial-group per call, seeded from one
 /// seeder) until `budget_seconds` of wall-clock elapses; always runs at
-/// least one round (the anneal_for contract).
+/// least one round (search::run_for's contract, on wall-clock rather than
+/// summed trial time).
 template <typename Round>
 optim::SaResult run_budgeted(double budget_seconds, std::uint64_t seed,
                              Round round) {
@@ -187,8 +188,8 @@ int main() {
           budget, 12345, [&](std::uint64_t round_seed) {
             optim::SaConfig round_sa = sa;
             round_sa.seed = round_seed;
-            return optim::anneal_trials_parallel(problem.system, initial,
-                                                 service, round_sa, threads);
+            return search::run_trials_parallel(problem.system, initial,
+                                               service, round_sa, threads);
           });
       baseline.wall = baseline.result.wall_seconds;
       baseline.batched_fraction = service.stats().batched_fraction();

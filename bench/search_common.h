@@ -1,9 +1,8 @@
 // Helpers shared by the surrogate-optimization benches (Fig. 14, Fig. 15,
 // case study, bench_search): building evaluators for Table-VII problems,
 // reference re-simulation of decisions ("post-processing" per §VIII-C5),
-// sampling of best-so-far placements along a trajectory, and the
-// algorithm-agnostic trial runner every search bench drives its
-// optimizers through.
+// and sampling of best-so-far placements along a trajectory. Every search
+// bench drives its optimizers through the src/search/ drivers.
 #pragma once
 
 #include <algorithm>
@@ -20,33 +19,6 @@
 #include "search/optimizer.h"
 
 namespace chainnet::bench {
-
-/// Serial SA on a caller-owned evaluator behind the search::Optimizer
-/// interface. With this adapter the fig14/fig15 protocols and the
-/// bench_search harness share one driver layer: search::run_trials
-/// reproduces optim::anneal_trials bit-for-bit (same per-trial seeds, same
-/// merge) and search::run_for reproduces optim::anneal_for, so converting
-/// the figure benches to the shared runner changed none of their numbers.
-class EvaluatorSaOptimizer final : public search::Optimizer {
- public:
-  EvaluatorSaOptimizer(optim::PlacementEvaluator& evaluator,
-                       const optim::SaConfig& sa)
-      : evaluator_(evaluator), sa_(sa) {}
-
-  std::string_view name() const noexcept override { return "sa"; }
-
-  optim::SaResult run(const edge::EdgeSystem& system,
-                      const edge::Placement& initial,
-                      std::uint64_t seed) override {
-    optim::SaConfig config = sa_;
-    config.seed = seed;
-    return optim::anneal(system, initial, evaluator_, config);
-  }
-
- private:
-  optim::PlacementEvaluator& evaluator_;
-  optim::SaConfig sa_;
-};
 
 /// Simulation effort used *inside* the baseline search (cheap) — the knob
 /// that the paper turns up to a full JMT run per candidate.

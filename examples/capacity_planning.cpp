@@ -13,6 +13,7 @@
 #include "optim/evaluator.h"
 #include "optim/experiment.h"
 #include "optim/initial.h"
+#include "search/optimizer.h"
 #include "support/rng.h"
 #include "support/table.h"
 
@@ -70,7 +71,9 @@ int main(int argc, char** argv) {
     optim::SimulationEvaluator evaluator(eval_cfg);
     optim::SaConfig sa;
     sa.max_steps = 60;
-    const auto result = optim::anneal_trials(sys, initial, evaluator, sa, 2);
+    search::SaOptimizer optimizer(evaluator, sa);
+    const auto result =
+        search::run_trials(optimizer, sys, initial, sa.seed, 2);
 
     queueing::SimConfig ref;
     ref.horizon = 4000.0;

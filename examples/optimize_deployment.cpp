@@ -15,6 +15,7 @@
 #include "optim/evaluator.h"
 #include "optim/experiment.h"
 #include "optim/initial.h"
+#include "search/optimizer.h"
 #include "support/rng.h"
 
 using namespace chainnet;
@@ -69,7 +70,9 @@ int main(int argc, char** argv) {
   optim::SurrogateEvaluator evaluator{surrogate};
   optim::SaConfig sa;
   sa.max_steps = sa_steps;
-  const auto result = optim::anneal_trials(system, initial, evaluator, sa, 5);
+  search::SaOptimizer optimizer(evaluator, sa);
+  const auto result =
+      search::run_trials(optimizer, system, initial, sa.seed, 5);
   std::cout << "search: " << result.trials << " trials, "
             << result.evaluations << " surrogate evaluations in "
             << result.seconds << "s\n";

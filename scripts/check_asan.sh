@@ -23,7 +23,9 @@
 # double-precision goldens honest under instrumentation. The linter recurses
 # over directories and slices raw bytes out of source files, so it gets an
 # ASan pass over both src/ and the fixture corpus (lint_test drives it over
-# every fixture, including the failing ones).
+# every fixture, including the failing ones). annealing_test and
+# parallel_anneal_test cover the paper's SA: one trial, the serial
+# multi-trial and time-budget drivers, and the pool-parallel trials.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

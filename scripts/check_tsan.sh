@@ -21,7 +21,8 @@
 # compile under the shard lock, and replay through a shared read-only plan
 # must stay race-free across pool workers. search_test runs the population
 # optimizers, whose every step fans a width-K batch across the pool while
-# the driver thread owns all the RNG state. kernels_f32_test and
+# the driver thread owns all the RNG state; parallel_anneal_test and
+# annealing_test run SA's trials on pool workers and on the caller. kernels_f32_test and
 # f64_golden_test join because the reduced-precision tier adds its own
 # thread-local tile scratch and once-per-process ISA/dtype resolution --
 # the same publication patterns TSan is here to police. chainnet_lint is

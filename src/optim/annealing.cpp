@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 namespace chainnet::optim {
@@ -23,10 +20,6 @@ double seconds_since(Clock::time_point start) {
   // LINT:nondet(elapsed-seconds helper feeds time budgets and reports; a
   // budget only truncates the loop, every step is seed-deterministic)
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-double auto_temperature(const EdgeSystem& system) {
-  return auto_initial_temperature(system);
 }
 
 /// Moves fragment (chain, frag) of `p` to `to_device`, swapping back a
@@ -69,8 +62,13 @@ bool try_move(const EdgeSystem& system, Placement& p, int chain, int frag,
 
 }  // namespace
 
-double auto_initial_temperature(const EdgeSystem& system) {
+double initial_temperature(const EdgeSystem& system) {
   return 0.05 * system.total_arrival_rate() + 1e-9;
+}
+
+bool metropolis_accept(double delta, double temperature, Rng& rng) {
+  return delta > 0.0 ||
+         rng.uniform01() < std::exp(delta / std::max(temperature, 1e-12));
 }
 
 void SearchCounters::merge(const SearchCounters& other) noexcept {
@@ -129,9 +127,7 @@ SaResult anneal(const EdgeSystem& system, const Placement& initial,
   const std::uint64_t eval_start = evaluator.evaluations();
 
   Rng rng(config.seed);
-  double temperature = config.initial_temperature > 0.0
-                           ? config.initial_temperature
-                           : auto_temperature(system);
+  double temperature = initial_temperature(system);
 
   Placement current = initial;
   double current_obj = evaluator.total_throughput(system, current);
@@ -149,11 +145,7 @@ SaResult anneal(const EdgeSystem& system, const Placement& initial,
       result.counters.proposals += 1;
       const double candidate_obj =
           evaluator.total_throughput(system, candidate);
-      const double delta = candidate_obj - current_obj;
-      const bool accept =
-          delta > 0.0 ||
-          rng.uniform01() < std::exp(delta / std::max(temperature, 1e-12));
-      if (accept) {
+      if (metropolis_accept(candidate_obj - current_obj, temperature, rng)) {
         result.counters.accepts += 1;
         current = std::move(candidate);
         current_obj = candidate_obj;
@@ -165,7 +157,7 @@ SaResult anneal(const EdgeSystem& system, const Placement& initial,
     } else {
       result.counters.proposal_failures += 1;
     }
-    temperature *= config.cooling_rate;
+    temperature *= kCoolingRate;
     result.trajectory.push_back({step, seconds_since(start), current_obj,
                                  result.best_objective,
                                  evaluator.evaluations() - eval_start});
@@ -230,158 +222,6 @@ std::vector<std::uint64_t> trial_seeds(std::uint64_t seed, int trials) {
   Rng seeder(seed);
   for (auto& s : seeds) s = seeder();
   return seeds;
-}
-
-SaResult anneal_trials(const EdgeSystem& system, const Placement& initial,
-                       PlacementEvaluator& evaluator, const SaConfig& config,
-                       int trials) {
-  if (trials <= 0) throw std::invalid_argument("anneal_trials: trials <= 0");
-  SaResult acc;
-  const auto seeds = trial_seeds(config.seed, trials);
-  for (int t = 0; t < trials; ++t) {
-    SaConfig trial_config = config;
-    trial_config.seed = seeds[static_cast<std::size_t>(t)];
-    merge_trial(acc, anneal(system, initial, evaluator, trial_config));
-  }
-  acc.wall_seconds = acc.seconds;
-  return acc;
-}
-
-SaResult anneal_for(const EdgeSystem& system, const Placement& initial,
-                    PlacementEvaluator& evaluator, const SaConfig& config,
-                    double budget_seconds) {
-  SaResult acc;
-  Rng seeder(config.seed);
-  // Always run at least one trial so a result exists even when the budget
-  // is smaller than a single trial's duration.
-  do {
-    SaConfig trial_config = config;
-    trial_config.seed = seeder();
-    merge_trial(acc, anneal(system, initial, evaluator, trial_config));
-  } while (acc.seconds < budget_seconds);
-  acc.wall_seconds = acc.seconds;
-  return acc;
-}
-
-SaResult anneal_trials_parallel(const EdgeSystem& system,
-                                const Placement& initial,
-                                runtime::EvalService& service,
-                                const SaConfig& config, int trials) {
-  if (trials <= 0) {
-    throw std::invalid_argument("anneal_trials_parallel: trials <= 0");
-  }
-  if (service.pool().worker_index_here() >= 0) {
-    // Called from inside the pool: waiting on sibling tasks would deadlock
-    // a 1-thread pool, so run serially on this worker's evaluator.
-    return anneal_trials(system, initial, service.evaluator_here(), config,
-                         trials);
-  }
-  initial.validate(system);
-  // LINT:nondet(start stamp feeds the time budget and report seconds; a
-  // budget only truncates the loop, every step is seed-deterministic)
-  const auto start = Clock::now();
-  const auto seeds = trial_seeds(config.seed, trials);
-  std::vector<std::future<SaResult>> futures;
-  futures.reserve(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t) {
-    SaConfig trial_config = config;
-    trial_config.seed = seeds[static_cast<std::size_t>(t)];
-    futures.push_back(
-        service.pool().submit([&system, &initial, &service, trial_config] {
-          return anneal(system, initial, service.evaluator_here(),
-                        trial_config);
-        }));
-  }
-  // Merge in submission order — identical to the serial driver — and drain
-  // every future before rethrowing any trial's failure.
-  SaResult acc;
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      merge_trial(acc, future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  acc.wall_seconds = seconds_since(start);
-  return acc;
-}
-
-SaResult anneal_batched(const EdgeSystem& system, const Placement& initial,
-                        runtime::EvalService& service, const SaConfig& config,
-                        int pool_size) {
-  if (pool_size <= 0) {
-    throw std::invalid_argument("anneal_batched: pool_size <= 0");
-  }
-  initial.validate(system);
-  // LINT:nondet(start stamp feeds the time budget and report seconds; a
-  // budget only truncates the loop, every step is seed-deterministic)
-  const auto start = Clock::now();
-  const std::uint64_t eval_start = service.oracle_evaluations();
-
-  Rng rng(config.seed);
-  double temperature = config.initial_temperature > 0.0
-                           ? config.initial_temperature
-                           : auto_temperature(system);
-
-  Placement current = initial;
-  double current_obj = service.evaluate(system, current);
-  SaResult result;
-  result.best = current;
-  result.best_objective = current_obj;
-  result.trajectory.push_back({0, seconds_since(start), current_obj,
-                               current_obj,
-                               service.oracle_evaluations() - eval_start});
-  if (config.record_best_placements) result.best_placements.push_back(current);
-
-  std::vector<Placement> candidates;
-  for (int step = 1; step <= config.max_steps; ++step) {
-    candidates.clear();
-    candidates.reserve(static_cast<std::size_t>(pool_size));
-    for (int k = 0; k < pool_size; ++k) {
-      Placement candidate;
-      if (propose_move(system, current, rng, config, candidate)) {
-        candidates.push_back(std::move(candidate));
-      } else {
-        result.counters.proposal_failures += 1;
-      }
-    }
-    result.counters.proposals += candidates.size();
-    if (!candidates.empty()) {
-      const auto objectives = service.evaluate_batch(system, candidates);
-      std::size_t best_k = 0;
-      for (std::size_t k = 1; k < objectives.size(); ++k) {
-        if (objectives[k] > objectives[best_k]) best_k = k;
-      }
-      const double delta = objectives[best_k] - current_obj;
-      const bool accept =
-          delta > 0.0 ||
-          rng.uniform01() < std::exp(delta / std::max(temperature, 1e-12));
-      if (accept) {
-        result.counters.accepts += 1;
-        current = std::move(candidates[best_k]);
-        current_obj = objectives[best_k];
-        if (current_obj > result.best_objective) {
-          result.best = current;
-          result.best_objective = current_obj;
-        }
-      }
-    }
-    temperature *= config.cooling_rate;
-    result.trajectory.push_back({step, seconds_since(start), current_obj,
-                                 result.best_objective,
-                                 service.oracle_evaluations() - eval_start});
-    if (config.record_best_placements) {
-      result.best_placements.push_back(result.best);
-    }
-  }
-
-  result.evaluations = service.oracle_evaluations() - eval_start;
-  result.seconds = seconds_since(start);
-  result.wall_seconds = result.seconds;
-  result.trials = 1;
-  return result;
 }
 
 }  // namespace chainnet::optim

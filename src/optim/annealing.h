@@ -1,8 +1,8 @@
 // Simulated-annealing placement search (§VII): the neighborhood move
 // (fragment relocation with optional swap-back of displaced fragments),
-// Metropolis acceptance on total throughput, geometric cooling, and the
-// multi-trial driver used in §VIII-C (each trial restarts from the same
-// initial placement with a fresh random stream — Fig. 14a).
+// Metropolis acceptance on total throughput, the geometric cooling
+// schedule, and one trial of the paper's SA. The drivers that run many
+// trials or many candidates per step live in src/search/.
 #pragma once
 
 #include <cstdint>
@@ -11,15 +11,26 @@
 #include "edge/model.h"
 #include "edge/placement.h"
 #include "optim/evaluator.h"
-#include "runtime/eval_service.h"
 #include "support/rng.h"
 
 namespace chainnet::optim {
 
+/// gamma of the geometric cooling schedule tau_{s+1} = gamma * tau_s
+/// (§VIII-C2); every search algorithm anneals on it.
+inline constexpr double kCoolingRate = 0.9;
+
+/// tau_0: a fraction of the total offered load, so the initial acceptance
+/// probability of moderately worse moves is meaningful across problems of
+/// very different throughput scales. Every search algorithm starts its
+/// schedule here.
+double initial_temperature(const edge::EdgeSystem& system);
+
+/// The Metropolis test: accepts any improvement without a draw, otherwise
+/// draws once from `rng` and accepts with probability exp(delta / tau).
+bool metropolis_accept(double delta, double temperature, support::Rng& rng);
+
 struct SaConfig {
   int max_steps = 100;           ///< search steps per trial (§VIII-C2)
-  double initial_temperature = 0.0;  ///< tau_0; 0 = auto (see annealing.cpp)
-  double cooling_rate = 0.9;     ///< gamma (§VIII-C2)
   std::uint64_t seed = 1;
   /// Candidate placements must satisfy the memory constraint of eq. (2);
   /// the move generator redraws up to this many times per step.
@@ -92,22 +103,14 @@ struct SaResult {
 
 /// Merges `trial` into `acc`, offsetting the step/time/eval axes so the
 /// combined trajectory is monotone in all three; the best-so-far series is
-/// recomputed across trials and counters are summed. Shared by
-/// anneal_trials/anneal_for here and the algorithm-agnostic multi-trial
-/// drivers in src/search/.
+/// recomputed across trials and counters are summed. Used by the
+/// multi-trial drivers in src/search/.
 void merge_trial(SaResult& acc, const SaResult& trial);
 
 /// The per-trial seed sequence every multi-trial driver draws from
 /// `seed` (trial t gets the t-th output of a fresh Rng(seed)), exposed so
-/// serial, parallel, and search-subsystem drivers stay bit-compatible.
+/// serial and parallel drivers stay bit-compatible.
 std::vector<std::uint64_t> trial_seeds(std::uint64_t seed, int trials);
-
-/// The tau_0 used when SaConfig::initial_temperature is 0: a fraction of
-/// the total offered load, so the initial acceptance probability of
-/// moderately worse moves is meaningful across problems of very different
-/// throughput scales. Shared with the src/search/ optimizers so every
-/// algorithm anneals on the identical schedule.
-double auto_initial_temperature(const edge::EdgeSystem& system);
 
 /// Generates one candidate neighbor of `current` per the paper's move:
 /// pick a random (chain, fragment), move it to a random other device not
@@ -121,54 +124,5 @@ bool propose_move(const edge::EdgeSystem& system,
 /// Runs one SA trial from `initial`.
 SaResult anneal(const edge::EdgeSystem& system, const edge::Placement& initial,
                 PlacementEvaluator& evaluator, const SaConfig& config);
-
-/// Multi-trial driver: runs `trials` independent trials (seed varied),
-/// each restarting from `initial`; trajectories are concatenated with
-/// cumulative step/time axes and the best decision over all trials is
-/// returned.
-SaResult anneal_trials(const edge::EdgeSystem& system,
-                       const edge::Placement& initial,
-                       PlacementEvaluator& evaluator, const SaConfig& config,
-                       int trials);
-
-/// Time-budget driver (fixed-time comparison, §VIII-C4a): keeps starting
-/// new trials until `budget_seconds` of wall-clock time is exhausted.
-SaResult anneal_for(const edge::EdgeSystem& system,
-                    const edge::Placement& initial,
-                    PlacementEvaluator& evaluator, const SaConfig& config,
-                    double budget_seconds);
-
-/// Parallel multi-trial driver: same per-trial seeds (drawn from one seeder
-/// on config.seed) and same merge order as anneal_trials, with the trials
-/// fanned out across service.pool(); each trial runs entirely on one worker
-/// against that worker's private evaluator. With a 1-thread pool and a
-/// value-deterministic oracle this reproduces anneal_trials bit-for-bit
-/// (same best placement, objective, and evaluation count). Must be called
-/// from outside the pool; on a pool worker it degrades to the serial driver
-/// on that worker's evaluator rather than deadlocking.
-SaResult anneal_trials_parallel(const edge::EdgeSystem& system,
-                                const edge::Placement& initial,
-                                runtime::EvalService& service,
-                                const SaConfig& config, int trials);
-
-/// Batch-evaluated neighbor-pool variant: each step proposes up to
-/// `pool_size` independent moves from the current decision, scores them as
-/// one batch through the service (all workers), and Metropolis-accepts the
-/// best-scoring candidate. Reproducible across thread counts when the
-/// oracle's value depends only on the placement (fixed-seed simulation,
-/// approximation, surrogate); trajectory/evaluation semantics match
-/// anneal() with pool_size evaluations per step.
-///
-/// Plan-cache behavior: when the service's evaluators replay compiled
-/// execution plans (surrogate oracles), the first step of a run compiles at
-/// most two plans — width pool_size and width 1 — through the service's
-/// shared gnn::PlanCache; every subsequent step of this run, and every
-/// other run over the same system topology, replays them. Placement
-/// mutations never recompile (plans are keyed on topology + model shape +
-/// batch width, not on where fragments sit).
-SaResult anneal_batched(const edge::EdgeSystem& system,
-                        const edge::Placement& initial,
-                        runtime::EvalService& service, const SaConfig& config,
-                        int pool_size);
 
 }  // namespace chainnet::optim

@@ -19,10 +19,12 @@ double loss_probability(const edge::EdgeSystem& system,
 double relative_loss_reduction(const edge::EdgeSystem& system,
                                double initial_throughput,
                                double optimized_throughput) {
-  const double lambda_total = system.total_arrival_rate();
-  const double denom = lambda_total - initial_throughput;
-  if (denom <= 0.0) return 0.0;  // initial placement already lossless
-  return (optimized_throughput - initial_throughput) / denom;
+  // From the clamped pi_loss values, so a reference simulation that reads
+  // above Lambda cannot push eta past 1.
+  const double initial_loss = loss_probability(system, initial_throughput);
+  if (initial_loss <= 0.0) return 0.0;  // initial placement already lossless
+  return (initial_loss - loss_probability(system, optimized_throughput)) /
+         initial_loss;
 }
 
 double simulated_total_throughput(const edge::EdgeSystem& system,

@@ -20,7 +20,8 @@ double loss_probability(const edge::EdgeSystem& system,
                         double total_throughput);
 
 /// eta(p) of eq. (19): relative loss reduction of `p` w.r.t. the initial
-/// placement's objective value.
+/// placement, (pi_0 - pi_1) / pi_0 over the clamped loss probabilities, so
+/// eta <= 1. Zero when the initial placement is already lossless.
 double relative_loss_reduction(const edge::EdgeSystem& system,
                                double initial_throughput,
                                double optimized_throughput);

@@ -1,7 +1,5 @@
 #include "search/best_of_b.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -33,9 +31,7 @@ optim::SaResult BestOfB::run(const EdgeSystem& system,
 
   // Chain stream 0 == Rng(seed), serial SA's stream (the B = 1 anchor).
   support::Rng rng = detail::chain_stream(seed, 0);
-  double temperature = config_.sa.initial_temperature > 0.0
-                           ? config_.sa.initial_temperature
-                           : optim::auto_initial_temperature(system);
+  double temperature = optim::initial_temperature(system);
 
   // Score the initial placement as a width-B batch so the whole run uses
   // one batch width (plan discipline); slot 0 carries the value.
@@ -81,11 +77,8 @@ optim::SaResult BestOfB::run(const EdgeSystem& system,
         }
       }
       const auto best_slot = static_cast<std::size_t>(best_j);
-      const double delta = objectives[best_slot] - current_obj;
-      const bool accept =
-          delta > 0.0 ||
-          rng.uniform01() < std::exp(delta / std::max(temperature, 1e-12));
-      if (accept) {
+      if (optim::metropolis_accept(objectives[best_slot] - current_obj,
+                                   temperature, rng)) {
         result.counters.accepts += 1;
         current = std::move(batch[best_slot]);
         current_obj = objectives[best_slot];
@@ -95,7 +88,7 @@ optim::SaResult BestOfB::run(const EdgeSystem& system,
         }
       }
     }
-    temperature *= config_.sa.cooling_rate;
+    temperature *= optim::kCoolingRate;
     result.trajectory.push_back(
         {step, detail::seconds_since(start), current_obj,
          result.best_objective, service_.oracle_evaluations() - eval_start});

@@ -1,6 +1,9 @@
 #include "search/optimizer.h"
 
+#include <exception>
+#include <future>
 #include <stdexcept>
+#include <vector>
 
 #include "search/best_of_b.h"
 #include "search/parallel_tempering.h"
@@ -12,32 +15,13 @@ namespace chainnet::search {
 using edge::EdgeSystem;
 using edge::Placement;
 
-namespace {
-
-/// Serial SA behind the Optimizer interface: the baseline every population
-/// algorithm is compared against. Runs optim::anneal on the service's
-/// owning-thread evaluator, so its oracle values match the batched
-/// optimizers' exactly (same evaluator construction, same plan cache).
-class SaOptimizer final : public Optimizer {
- public:
-  SaOptimizer(runtime::EvalService& service, const SearchConfig& config)
-      : service_(service), config_(config) {}
-
-  std::string_view name() const noexcept override { return "sa"; }
-
-  optim::SaResult run(const EdgeSystem& system, const Placement& initial,
-                      std::uint64_t seed) override {
-    optim::SaConfig sa = config_.sa;
-    sa.seed = seed;
-    return optim::anneal(system, initial, service_.evaluator_here(), sa);
-  }
-
- private:
-  runtime::EvalService& service_;
-  SearchConfig config_;
-};
-
-}  // namespace
+optim::SaResult SaOptimizer::run(const EdgeSystem& system,
+                                 const Placement& initial,
+                                 std::uint64_t seed) {
+  optim::SaConfig sa = sa_;
+  sa.seed = seed;
+  return optim::anneal(system, initial, evaluator_, sa);
+}
 
 std::string_view algo_name(Algo algo) noexcept {
   switch (algo) {
@@ -73,7 +57,8 @@ std::unique_ptr<Optimizer> make_optimizer(Algo algo,
                                           const SearchConfig& config) {
   switch (algo) {
     case Algo::kSa:
-      return std::make_unique<SaOptimizer>(service, config);
+      return std::make_unique<SaOptimizer>(service.evaluator_here(),
+                                           config.sa);
     case Algo::kPt:
       return std::make_unique<ParallelTempering>(service, config);
     case Algo::kPopAnneal:
@@ -103,11 +88,55 @@ optim::SaResult run_for(Optimizer& optimizer, const EdgeSystem& system,
   optim::SaResult acc;
   support::Rng seeder(seed);
   // Always run at least one trial so a result exists even when the budget
-  // is smaller than a single trial's duration (mirrors optim::anneal_for).
+  // is smaller than a single trial's duration.
   do {
     optim::merge_trial(acc, optimizer.run(system, initial, seeder()));
   } while (acc.seconds < budget_seconds);
   acc.wall_seconds = acc.seconds;
+  return acc;
+}
+
+optim::SaResult run_trials_parallel(const EdgeSystem& system,
+                                    const Placement& initial,
+                                    runtime::EvalService& service,
+                                    const optim::SaConfig& config,
+                                    int trials) {
+  if (trials <= 0) {
+    throw std::invalid_argument("run_trials_parallel: trials <= 0");
+  }
+  if (service.pool().worker_index_here() >= 0) {
+    // Called from inside the pool: waiting on sibling tasks would deadlock
+    // a 1-thread pool, so run serially on this worker's evaluator.
+    SaOptimizer serial(service.evaluator_here(), config);
+    return run_trials(serial, system, initial, config.seed, trials);
+  }
+  initial.validate(system);
+  // LINT:nondet(start stamp feeds the time budget and report seconds; a
+  // budget only truncates the loop, every step is seed-deterministic)
+  const auto start = detail::Clock::now();
+  std::vector<std::future<optim::SaResult>> futures;
+  futures.reserve(static_cast<std::size_t>(trials));
+  for (const std::uint64_t trial_seed :
+       optim::trial_seeds(config.seed, trials)) {
+    futures.push_back(service.pool().submit(
+        [&system, &initial, &service, config, trial_seed] {
+          SaOptimizer trial(service.evaluator_here(), config);
+          return trial.run(system, initial, trial_seed);
+        }));
+  }
+  // Merge in submission order — identical to the serial driver — and drain
+  // every future before rethrowing any trial's failure.
+  optim::SaResult acc;
+  std::exception_ptr first_error;
+  for (auto& future : futures) {
+    try {
+      optim::merge_trial(acc, future.get());
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  acc.wall_seconds = detail::seconds_since(start);
   return acc;
 }
 

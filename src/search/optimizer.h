@@ -24,9 +24,9 @@
 
 namespace chainnet::search {
 
-/// Knobs of the search subsystem. `sa` carries the schedule every
-/// algorithm anneals on (steps, cooling rate, initial temperature, move
-/// attempts); the rest parameterize the population mechanisms.
+/// Knobs of the search subsystem. `sa` carries what every algorithm shares
+/// (steps, seed, move attempts; the schedule itself is optim's tau_0 and
+/// gamma); the rest parameterize the population mechanisms.
 struct SearchConfig {
   optim::SaConfig sa;
   /// Population width: tempering chains (pt), replicas (popanneal), or the
@@ -61,6 +61,24 @@ class Optimizer {
                               std::uint64_t seed) = 0;
 };
 
+/// The paper's serial SA (optim::anneal) on a caller-owned evaluator: the
+/// baseline every population algorithm is compared against, and the one
+/// optimizer that scores candidates one at a time.
+class SaOptimizer final : public Optimizer {
+ public:
+  SaOptimizer(optim::PlacementEvaluator& evaluator, const optim::SaConfig& sa)
+      : evaluator_(evaluator), sa_(sa) {}
+
+  std::string_view name() const noexcept override { return "sa"; }
+  optim::SaResult run(const edge::EdgeSystem& system,
+                      const edge::Placement& initial,
+                      std::uint64_t seed) override;
+
+ private:
+  optim::PlacementEvaluator& evaluator_;
+  optim::SaConfig sa_;
+};
+
 enum class Algo { kSa, kPt, kPopAnneal, kBestOfB };
 
 std::string_view algo_name(Algo algo) noexcept;
@@ -70,25 +88,41 @@ std::string_view algo_name(Algo algo) noexcept;
 bool parse_algo(std::string_view text, Algo& out) noexcept;
 
 /// Builds the named optimizer on `service`. The service must outlive the
-/// optimizer. Throws std::invalid_argument on nonsensical configs
+/// optimizer. kSa scores on the evaluator of the calling thread
+/// (EvalService::evaluator_here), so its values match the batched
+/// optimizers' exactly. Throws std::invalid_argument on nonsensical configs
 /// (population <= 0, ladder_ratio < 1).
 std::unique_ptr<Optimizer> make_optimizer(Algo algo,
                                           runtime::EvalService& service,
                                           const SearchConfig& config);
 
-/// Multi-trial driver: bit-compatible with optim::anneal_trials (same
-/// per-trial seeds via optim::trial_seeds, same merge order/semantics via
-/// optim::merge_trial) but algorithm-agnostic.
+/// Multi-trial driver: runs `trials` independent trials, each restarting
+/// from `initial` with the next seed of optim::trial_seeds(seed, trials)
+/// (Fig. 14a), merged in order by optim::merge_trial.
 optim::SaResult run_trials(Optimizer& optimizer,
                            const edge::EdgeSystem& system,
                            const edge::Placement& initial, std::uint64_t seed,
                            int trials);
 
-/// Time-budget driver mirroring optim::anneal_for: keeps starting fresh
-/// trials until `budget_seconds` of accumulated trial time is exhausted
-/// (always runs at least one).
+/// Time-budget driver (fixed-time comparison, §VIII-C4a): keeps starting
+/// fresh trials until `budget_seconds` of accumulated trial time is
+/// exhausted (always runs at least one).
 optim::SaResult run_for(Optimizer& optimizer, const edge::EdgeSystem& system,
                         const edge::Placement& initial, std::uint64_t seed,
                         double budget_seconds);
+
+/// run_trials for serial SA with the trials fanned out across
+/// service.pool(): same per-trial seeds (from config.seed) and merge order,
+/// and each trial runs entirely on one worker against that worker's private
+/// evaluator. With a 1-thread pool and a value-deterministic oracle this
+/// reproduces run_trials on an SaOptimizer bit-for-bit (same best
+/// placement, objective, and evaluation count). Must be called from outside
+/// the pool; on a pool worker it degrades to the serial driver on that
+/// worker's evaluator rather than deadlocking.
+optim::SaResult run_trials_parallel(const edge::EdgeSystem& system,
+                                    const edge::Placement& initial,
+                                    runtime::EvalService& service,
+                                    const optim::SaConfig& config,
+                                    int trials);
 
 }  // namespace chainnet::search

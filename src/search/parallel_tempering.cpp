@@ -39,9 +39,7 @@ optim::SaResult ParallelTempering::run(const EdgeSystem& system,
   support::Rng exchange_rng =
       detail::auxiliary_stream(seed, detail::kExchangeSalt);
 
-  double tau = config_.sa.initial_temperature > 0.0
-                   ? config_.sa.initial_temperature
-                   : optim::auto_initial_temperature(system);
+  double tau = optim::initial_temperature(system);
 
   optim::SaResult result;
   result.best = population.members[0];
@@ -91,7 +89,7 @@ optim::SaResult ParallelTempering::run(const EdgeSystem& system,
       }
     }
 
-    tau *= config_.sa.cooling_rate;
+    tau *= optim::kCoolingRate;
     const auto leader =
         static_cast<std::size_t>(population.best_member());
     result.trajectory.push_back(

@@ -1,7 +1,5 @@
 #include "search/population.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -73,12 +71,11 @@ void metropolis_step(const EdgeSystem& system, Population& population,
   for (int k = 0; k < n; ++k) {
     const auto slot = static_cast<std::size_t>(k);
     if (!real[slot]) continue;
-    const double delta = objectives[slot] - population.objectives[slot];
-    const bool accept =
-        delta > 0.0 ||
-        population.streams[slot].uniform01() <
-            std::exp(delta / std::max(temperatures[slot], 1e-12));
-    if (!accept) continue;
+    if (!optim::metropolis_accept(
+            objectives[slot] - population.objectives[slot],
+            temperatures[slot], population.streams[slot])) {
+      continue;
+    }
     result.counters.accepts += 1;
     population.members[slot] = std::move(batch[slot]);
     population.objectives[slot] = objectives[slot];

@@ -36,9 +36,7 @@ optim::SaResult PopulationAnnealing::run(const EdgeSystem& system,
   support::Rng resample_rng =
       detail::auxiliary_stream(seed, detail::kResampleSalt);
 
-  double tau = config_.sa.initial_temperature > 0.0
-                   ? config_.sa.initial_temperature
-                   : optim::auto_initial_temperature(system);
+  double tau = optim::initial_temperature(system);
 
   optim::SaResult result;
   result.best = population.members[0];
@@ -56,7 +54,7 @@ optim::SaResult PopulationAnnealing::run(const EdgeSystem& system,
     detail::metropolis_step(system, population, service_, config_.sa,
                             temperatures, result);
 
-    const double tau_next = tau * config_.sa.cooling_rate;
+    const double tau_next = tau * optim::kCoolingRate;
     if (replicas >= 2 && config_.resample_interval > 0 &&
         step % config_.resample_interval == 0) {
       const auto n = static_cast<std::size_t>(replicas);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "optim/initial.h"
+#include "search/optimizer.h"
 #include "test_util.h"
 
 namespace chainnet::optim {
@@ -108,12 +109,13 @@ TEST(Anneal, DeterministicGivenSeed) {
   EXPECT_EQ(a.best.assignment(), b.best.assignment());
 }
 
-TEST(AnnealTrials, ConcatenatesTrajectories) {
+TEST(RunTrials, ConcatenatesTrajectories) {
   const auto sys = small_system();
   const auto initial = initial_placement(sys);
   ToyEvaluator eval;
   const auto cfg = quick_sa(30);
-  const auto result = anneal_trials(sys, initial, eval, cfg, 3);
+  search::SaOptimizer sa(eval, cfg);
+  const auto result = search::run_trials(sa, sys, initial, cfg.seed, 3);
   EXPECT_EQ(result.trials, 3);
   ASSERT_EQ(result.trajectory.size(), 1u + 3u * 30u);
   // Cumulative step axis and global best monotonicity across trials.
@@ -122,28 +124,30 @@ TEST(AnnealTrials, ConcatenatesTrajectories) {
               result.trajectory[i - 1].step + 1);
     EXPECT_GE(result.trajectory[i].best, result.trajectory[i - 1].best);
   }
-  EXPECT_THROW(anneal_trials(sys, initial, eval, cfg, 0),
+  EXPECT_THROW(search::run_trials(sa, sys, initial, cfg.seed, 0),
                std::invalid_argument);
 }
 
-TEST(AnnealTrials, MultiStartAtLeastAsGoodAsSingle) {
+TEST(RunTrials, MultiStartAtLeastAsGoodAsSingle) {
   const auto sys = small_system();
   const auto initial = initial_placement(sys);
   ToyEvaluator e1, e2;
   const auto single = anneal(sys, initial, e1, quick_sa(30));
-  SaConfig cfg = quick_sa(30);
-  const auto multi = anneal_trials(sys, initial, e2, cfg, 5);
+  search::SaOptimizer sa(e2, quick_sa(30));
+  const auto multi = search::run_trials(sa, sys, initial, 11, 5);
   EXPECT_GE(multi.best_objective, single.best_objective - 1e-12);
 }
 
-TEST(AnnealFor, RespectsTimeBudgetAndRunsAtLeastOnce) {
+TEST(RunFor, RespectsTimeBudgetAndRunsAtLeastOnce) {
   const auto sys = small_system();
   const auto initial = initial_placement(sys);
   ToyEvaluator eval;
-  const auto result = anneal_for(sys, initial, eval, quick_sa(10), 0.0);
+  search::SaOptimizer sa(eval, quick_sa(10));
+  const auto result = search::run_for(sa, sys, initial, 11, 0.0);
   EXPECT_EQ(result.trials, 1);  // budget 0 still yields one trial
   ToyEvaluator eval2;
-  const auto longer = anneal_for(sys, initial, eval2, quick_sa(10), 0.05);
+  search::SaOptimizer sa2(eval2, quick_sa(10));
+  const auto longer = search::run_for(sa2, sys, initial, 11, 0.05);
   EXPECT_GE(longer.trials, 1);
 }
 

@@ -29,6 +29,8 @@ TEST(RelativeLossReduction, Eq19) {
   EXPECT_NEAR(relative_loss_reduction(sys, 0.6, 1.2), 1.0, 1e-12);
   // Lossless initial placement: reduction undefined, reported as 0.
   EXPECT_NEAR(relative_loss_reduction(sys, 1.2, 1.2), 0.0, 1e-12);
+  // A reference simulation reading above Lambda clamps to loss 0: eta 1.
+  EXPECT_EQ(relative_loss_reduction(sys, 0.6, 1.3), 1.0);
 }
 
 TEST(SimulatedTotalThroughput, MatchesDirectSimulation) {

@@ -11,6 +11,7 @@
 #include "optim/annealing.h"
 #include "optim/experiment.h"
 #include "optim/initial.h"
+#include "search/optimizer.h"
 #include "support/rng.h"
 
 namespace chainnet {
@@ -79,7 +80,8 @@ TEST(Integration, SurrogateSearchImprovesSimulatedLoss) {
   optim::SaConfig sa;
   sa.max_steps = 60;
   sa.seed = 7;
-  const auto result = optim::anneal_trials(sys, initial, eval, sa, 3);
+  search::SaOptimizer optimizer(eval, sa);
+  const auto result = search::run_trials(optimizer, sys, initial, sa.seed, 3);
   const double x1 =
       optim::simulated_total_throughput(sys, result.best, sim);
 

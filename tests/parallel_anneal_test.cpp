@@ -1,8 +1,8 @@
 // Determinism and correctness of the concurrent evaluation runtime wired
-// into the SA drivers: a 1-thread anneal_trials_parallel must reproduce the
-// serial anneal_trials bit-for-bit, and batch evaluation must agree with
-// direct evaluation for every oracle that is a pure function of the
-// placement.
+// into the SA drivers: a 1-thread search::run_trials_parallel must
+// reproduce serial search::run_trials on an SaOptimizer bit-for-bit, and
+// batch evaluation must agree with direct evaluation for every oracle that
+// is a pure function of the placement.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +15,7 @@
 #include "runtime/eval_cache.h"
 #include "runtime/eval_service.h"
 #include "runtime/thread_pool.h"
+#include "search/optimizer.h"
 #include "test_util.h"
 
 namespace chainnet::optim {
@@ -92,7 +93,16 @@ TEST(EvalService, EmptyBatchIsANoOp) {
   EXPECT_EQ(service.oracle_evaluations(), 0u);
 }
 
-TEST(AnnealTrialsParallel, OneThreadMatchesSerialBitForBit) {
+/// Serial reference: run_trials on the paper's SA over `evaluator`.
+SaResult serial_trials(const edge::EdgeSystem& sys,
+                       PlacementEvaluator& evaluator,
+                       const edge::Placement& initial, const SaConfig& cfg,
+                       int trials) {
+  search::SaOptimizer sa(evaluator, cfg);
+  return search::run_trials(sa, sys, initial, cfg.seed, trials);
+}
+
+TEST(RunTrialsParallel, OneThreadMatchesSerialBitForBit) {
   const auto sys = small_system();
   const auto initial = initial_placement(sys);
   const auto cfg = quick_sa();
@@ -100,11 +110,12 @@ TEST(AnnealTrialsParallel, OneThreadMatchesSerialBitForBit) {
   // Serial reference with an evaluator identical to worker 0's.
   const auto serial_eval =
       sim_factory()(runtime::EvalService::worker_stream(cfg.seed, 0));
-  const auto serial = anneal_trials(sys, initial, *serial_eval, cfg, 4);
+  const auto serial = serial_trials(sys, *serial_eval, initial, cfg, 4);
 
   runtime::ThreadPool pool(1);
   runtime::EvalService service(pool, sim_factory(), cfg.seed);
-  const auto parallel = anneal_trials_parallel(sys, initial, service, cfg, 4);
+  const auto parallel =
+      search::run_trials_parallel(sys, initial, service, cfg, 4);
 
   EXPECT_DOUBLE_EQ(parallel.best_objective, serial.best_objective);
   EXPECT_EQ(parallel.best.assignment(), serial.best.assignment());
@@ -119,7 +130,7 @@ TEST(AnnealTrialsParallel, OneThreadMatchesSerialBitForBit) {
   }
 }
 
-TEST(AnnealTrialsParallel, MultiThreadMatchesSerialForPureOracles) {
+TEST(RunTrialsParallel, MultiThreadMatchesSerialForPureOracles) {
   // With a placement-pure oracle every trial computes identical numbers on
   // any worker, and the merge order is fixed, so even a 4-thread run is an
   // exact reproduction of the serial search.
@@ -127,75 +138,26 @@ TEST(AnnealTrialsParallel, MultiThreadMatchesSerialForPureOracles) {
   const auto initial = initial_placement(sys);
   const auto cfg = quick_sa();
   const auto serial_eval = sim_factory()(support::Rng(0));
-  const auto serial = anneal_trials(sys, initial, *serial_eval, cfg, 6);
+  const auto serial = serial_trials(sys, *serial_eval, initial, cfg, 6);
 
   runtime::ThreadPool pool(4);
   runtime::EvalService service(pool, sim_factory(), cfg.seed);
-  const auto parallel = anneal_trials_parallel(sys, initial, service, cfg, 6);
+  const auto parallel =
+      search::run_trials_parallel(sys, initial, service, cfg, 6);
 
   EXPECT_DOUBLE_EQ(parallel.best_objective, serial.best_objective);
   EXPECT_EQ(parallel.best.assignment(), serial.best.assignment());
   EXPECT_EQ(parallel.evaluations, serial.evaluations);
 }
 
-TEST(AnnealTrialsParallel, RejectsNonPositiveTrials) {
+TEST(RunTrialsParallel, RejectsNonPositiveTrials) {
   const auto sys = small_system();
   const auto initial = initial_placement(sys);
   runtime::ThreadPool pool(1);
   runtime::EvalService service(pool, toy_factory(), 1);
-  EXPECT_THROW(anneal_trials_parallel(sys, initial, service, quick_sa(), 0),
-               std::invalid_argument);
-}
-
-TEST(AnnealBatched, ImprovesObjectiveAndRecordsTrajectory) {
-  const auto sys = small_system();
-  const auto initial = initial_placement(sys);
-  runtime::ThreadPool pool(2);
-  runtime::EvalService service(pool, toy_factory(), 1);
-  ToyEvaluator reference;
-  const double initial_obj = reference.total_throughput(sys, initial);
-  const auto cfg = quick_sa(40);
-  const auto result = anneal_batched(sys, initial, service, cfg, 4);
-  EXPECT_GE(result.best_objective, initial_obj);
-  EXPECT_NO_THROW(result.best.validate(sys));
-  ASSERT_EQ(result.trajectory.size(), 41u);
-  for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
-    EXPECT_GE(result.trajectory[i].best, result.trajectory[i - 1].best);
-  }
-  // Up to pool_size evaluations per step plus the initial one.
-  EXPECT_GE(result.evaluations, 1u);
-  EXPECT_LE(result.evaluations, 1u + 40u * 4u);
-  EXPECT_GE(result.wall_seconds, 0.0);
-}
-
-TEST(AnnealBatched, DeterministicAcrossThreadCounts) {
-  const auto sys = small_system();
-  const auto initial = initial_placement(sys);
-  const auto cfg = quick_sa(30);
-  runtime::ThreadPool pool1(1);
-  runtime::EvalService service1(pool1, sim_factory(), cfg.seed);
-  const auto a = anneal_batched(sys, initial, service1, cfg, 3);
-  runtime::ThreadPool pool4(4);
-  runtime::EvalService service4(pool4, sim_factory(), cfg.seed);
-  const auto b = anneal_batched(sys, initial, service4, cfg, 3);
-  EXPECT_DOUBLE_EQ(a.best_objective, b.best_objective);
-  EXPECT_EQ(a.best.assignment(), b.best.assignment());
-  EXPECT_EQ(a.evaluations, b.evaluations);
-}
-
-TEST(AnnealBatched, PoolSizeOneMatchesPlainAnneal) {
-  // One proposal per step, scored remotely: exactly anneal()'s decision
-  // sequence for the same seed and a placement-pure oracle.
-  const auto sys = small_system();
-  const auto initial = initial_placement(sys);
-  const auto cfg = quick_sa(30);
-  const auto serial_eval = sim_factory()(support::Rng(0));
-  const auto serial = anneal(sys, initial, *serial_eval, cfg);
-  runtime::ThreadPool pool(2);
-  runtime::EvalService service(pool, sim_factory(), cfg.seed);
-  const auto batched = anneal_batched(sys, initial, service, cfg, 1);
-  EXPECT_DOUBLE_EQ(batched.best_objective, serial.best_objective);
-  EXPECT_EQ(batched.best.assignment(), serial.best.assignment());
+  EXPECT_THROW(
+      search::run_trials_parallel(sys, initial, service, quick_sa(), 0),
+      std::invalid_argument);
 }
 
 TEST(CachedEvaluatorParallel, SharedCacheAbsorbsRepeatedBatches) {

@@ -7,6 +7,7 @@
 #include "edge/problem.h"
 #include "optim/annealing.h"
 #include "optim/initial.h"
+#include "search/optimizer.h"
 #include "support/rng.h"
 
 namespace chainnet::optim {
@@ -45,7 +46,8 @@ TEST_P(SaProblemSweep, SearchPreservesInvariantsAndImproves) {
   sa.max_steps = 80;
   sa.seed = 9;
   sa.record_best_placements = true;
-  const auto result = anneal_trials(sys, initial, eval, sa, 2);
+  search::SaOptimizer optimizer(eval, sa);
+  const auto result = search::run_trials(optimizer, sys, initial, sa.seed, 2);
 
   // Best placement is valid and feasible.
   EXPECT_NO_THROW(result.best.validate(sys));

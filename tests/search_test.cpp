@@ -1,8 +1,8 @@
 // Contracts of the src/search/ population optimizers:
 //  * SA anchoring: every optimizer with population 1 replays serial
 //    optim::anneal bit-for-bit (same stream, same trajectory, same
-//    evaluation counts, same counters), and run_trials on the SA adapter
-//    reproduces optim::anneal_trials;
+//    evaluation counts, same counters), and run_trials on the SA optimizer
+//    reproduces optim::anneal merged over optim::trial_seeds;
 //  * thread-count determinism: a fixed seed yields identical results on a
 //    1-worker and a 4-worker evaluation service;
 //  * batch discipline: the optimizers are batch-fed (>= 90% of placements
@@ -189,6 +189,9 @@ TEST(SearchOptimizer, ImprovesValidatesAndRecordsMonotoneBest) {
     }
     EXPECT_GT(result.counters.proposals, 0u) << label;
     EXPECT_GE(result.counters.proposals, result.counters.accepts) << label;
+    // One width-6 batch for the initial placement and at most one per step.
+    EXPECT_LE(result.evaluations, 6u * 41u) << label;
+    EXPECT_GE(result.wall_seconds, 0.0) << label;
     EXPECT_EQ(result.trials, 1) << label;
   }
 }
@@ -309,21 +312,26 @@ TEST(SearchOptimizer, WholeRunCompilesAtMostTwoPlans) {
   }
 }
 
-TEST(SearchDrivers, RunTrialsOnSaAdapterMatchesAnnealTrials) {
+TEST(SearchDrivers, RunTrialsOnSaOptimizerMatchesMergedAnneals) {
   const auto sys = small_system();
   const auto initial = optim::initial_placement(sys);
   const auto cfg = quick_config(1, 20);
 
   const auto serial_eval = sim_factory()(Rng(0));
-  const auto reference =
-      optim::anneal_trials(sys, initial, *serial_eval, cfg.sa, 4);
+  SaResult reference;
+  for (const std::uint64_t seed : optim::trial_seeds(cfg.sa.seed, 4)) {
+    SaConfig sa = cfg.sa;
+    sa.seed = seed;
+    optim::merge_trial(reference,
+                       optim::anneal(sys, initial, *serial_eval, sa));
+  }
 
   runtime::ThreadPool pool(2);
   runtime::EvalService service(pool, sim_factory(), 1);
   const auto optimizer = make_optimizer(Algo::kSa, service, cfg);
   const auto result = run_trials(*optimizer, sys, initial, cfg.sa.seed, 4);
 
-  expect_same_run(result, reference, "sa-adapter");
+  expect_same_run(result, reference, "sa");
   EXPECT_EQ(result.trials, reference.trials);
 }
 

@@ -15,7 +15,7 @@
 //                      [--hidden H] [--iterations N] [--json]
 //   chainnet optimize  --system s.json (--weights w.bin | --oracle sim|approx)
 //                      [--steps N] [--trials T] [--out placement.json]
-//                      [--threads N] [--cache-size N] [--batch K]
+//                      [--threads N] [--cache-size N]
 //                      [--algo sa|pt|popanneal|bestofb] [--population K]
 //                      [--ladder-ratio R] [--exchange-interval N]
 //                      [--resample-interval N]
@@ -38,18 +38,18 @@
 // running serve instances by consistent hashing and exposes Prometheus
 // metrics on --metrics-port.
 //
-// --threads N  fans independent SA trials out across an N-worker pool
-//              (each worker gets a private oracle with a decorrelated
-//              seed stream); N=1 reproduces the serial driver exactly.
-// --batch K    switches to the neighbor-pool driver: K candidate moves per
-//              step, scored as one batch across the pool.
+// optimize runs every algorithm on one evaluation service of --threads
+// workers, each with a private oracle.
 // --algo A     picks the search algorithm (src/search/): sa (default, the
 //              paper's annealing), pt (parallel tempering), popanneal
 //              (population annealing), bestofb (wide-neighborhood
-//              best-of-B). The population algorithms batch --population
-//              candidates per step through the evaluation service and are
-//              bit-for-bit reproducible for a fixed --seed at any
+//              best-of-B; the batched SA). The population algorithms batch
+//              --population candidates per step through the service and
+//              are bit-for-bit reproducible for a fixed --seed at any
 //              --threads value.
+// --threads N  with --algo sa, fans the independent trials out across the
+//              N workers; N=1 runs them serially, with the same result for
+//              an oracle whose value depends only on the placement.
 // --cache-size N  memoizes oracle calls in a sharded LRU keyed by the
 //              placement's canonical hash; hits are reported separately
 //              and never counted as oracle evaluations.
@@ -58,14 +58,23 @@
 // `serve` binds a TCP port (0 = ephemeral, the bound port is printed) and
 // microbatches concurrent eval requests into the shared evaluation service.
 //
+// Each command accepts only the flags it reads; an unknown flag, a missing
+// required flag, or a value that does not parse as the number (or the int)
+// the flag takes is a usage error.
+//
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
+#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/chainnet.h"
@@ -102,7 +111,20 @@ namespace {
 using namespace chainnet;
 using support::Json;
 
-/// --flag value / --flag parsing; positionals collected in order.
+/// A command-line mistake: reported by main with exit code 1.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+using FlagList = std::vector<std::string_view>;
+
+/// `base` plus `more`.
+FlagList with(FlagList base, std::initializer_list<std::string_view> more) {
+  base.insert(base.end(), more);
+  return base;
+}
+
+/// --flag value / --flag parsing.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -121,11 +143,25 @@ class Args {
     }
   }
 
+  /// Throws UsageError on any positional argument or any flag not in
+  /// `known` (the flags the command reads).
+  void allow_only(const std::string& command, const FlagList& known) const {
+    if (!positional_.empty()) {
+      throw UsageError(command + ": unexpected argument '" +
+                       positional_.front() + "'");
+    }
+    for (const auto& [key, value] : flags_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        throw UsageError(command + ": unknown flag --" + key);
+      }
+    }
+  }
+
   bool has(const std::string& key) const { return flags_.count(key) > 0; }
   std::string require(const std::string& key) const {
     auto it = flags_.find(key);
     if (it == flags_.end() || it->second.empty()) {
-      throw std::runtime_error("missing required flag --" + key);
+      throw UsageError("missing required flag --" + key);
     }
     return it->second;
   }
@@ -135,10 +171,30 @@ class Args {
   }
   double number(const std::string& key, double fallback) const {
     auto it = flags_.find(key);
-    return it == flags_.end() ? fallback : std::stod(it->second);
+    if (it == flags_.end()) return fallback;
+    std::size_t used = 0;
+    double value = 0.0;
+    try {
+      value = std::stod(it->second, &used);
+    } catch (const std::exception&) {
+      used = 0;  // no digits, or out of double range
+    }
+    if (used == 0 || used != it->second.size() || !std::isfinite(value)) {
+      throw UsageError("--" + key + " expects a number, got '" + it->second +
+                       "'");
+    }
+    return value;
   }
   int integer(const std::string& key, int fallback) const {
-    return static_cast<int>(number(key, fallback));
+    if (!has(key)) return fallback;
+    const double value = number(key, fallback);
+    if (value != std::trunc(value) || value < INT_MIN || value > INT_MAX) {
+      throw UsageError("--" + key + " expects an integer in [" +
+                       std::to_string(INT_MIN) + ", " +
+                       std::to_string(INT_MAX) + "], got '" +
+                       flags_.at(key) + "'");
+    }
+    return static_cast<int>(value);
   }
 
  private:
@@ -499,7 +555,6 @@ int cmd_optimize(const Args& args) {
   const auto initial = optim::initial_placement(system);
 
   const int threads = std::max(1, args.integer("threads", 1));
-  const int batch = std::max(0, args.integer("batch", 0));
   const auto seed = static_cast<std::uint64_t>(args.number("seed", 1.0));
 
   const std::string algo_text = args.get("algo", "sa");
@@ -512,40 +567,29 @@ int cmd_optimize(const Args& args) {
 
   auto setup = build_oracle(args, system);
   if (!setup.factory) return 1;
-  auto& factory = setup.factory;
   const auto& cache = setup.cache;
 
-  optim::SaConfig sa;
-  sa.max_steps = args.integer("steps", 100);
-  sa.seed = seed;
+  search::SearchConfig cfg;
+  cfg.sa.max_steps = args.integer("steps", 100);
+  cfg.sa.seed = seed;
+  cfg.population = std::max(1, args.integer("population", 16));
+  cfg.ladder_ratio = std::max(1.0, args.number("ladder-ratio", 24.0));
+  cfg.exchange_interval = args.integer("exchange-interval", 1);
+  cfg.resample_interval = args.integer("resample-interval", 5);
   // The population algorithms step a whole population per trial, so one
   // trial is already a multi-start; plain SA keeps the paper's 5 restarts.
   const int trials =
       args.integer("trials", algo == search::Algo::kSa ? 5 : 1);
 
+  runtime::ThreadPool pool(threads);
+  runtime::EvalService service(pool, setup.factory, seed);
   optim::SaResult result;
-  if (algo != search::Algo::kSa) {
-    search::SearchConfig cfg;
-    cfg.sa = sa;
-    cfg.population = std::max(1, args.integer("population", 16));
-    cfg.ladder_ratio = std::max(1.0, args.number("ladder-ratio", 24.0));
-    cfg.exchange_interval = args.integer("exchange-interval", 1);
-    cfg.resample_interval = args.integer("resample-interval", 5);
-    runtime::ThreadPool pool(threads);
-    runtime::EvalService service(pool, factory, seed);
+  if (algo == search::Algo::kSa && threads > 1) {
+    result =
+        search::run_trials_parallel(system, initial, service, cfg.sa, trials);
+  } else {
     const auto optimizer = search::make_optimizer(algo, service, cfg);
     result = search::run_trials(*optimizer, system, initial, seed, trials);
-  } else if (threads > 1 || batch > 0) {
-    runtime::ThreadPool pool(threads);
-    runtime::EvalService service(pool, factory, seed);
-    result = batch > 0
-                 ? optim::anneal_batched(system, initial, service, sa, batch)
-                 : optim::anneal_trials_parallel(system, initial, service, sa,
-                                                 trials);
-  } else {
-    const auto evaluator =
-        factory(runtime::EvalService::worker_stream(seed, 0));
-    result = optim::anneal_trials(system, initial, *evaluator, sa, trials);
   }
 
   const auto ref = sim_config(system, args);
@@ -553,7 +597,7 @@ int cmd_optimize(const Args& args) {
   const double x1 =
       optim::simulated_total_throughput(system, result.best, ref);
   std::cout << "search[" << algo_text << "]: " << result.trials
-            << " trials x " << sa.max_steps
+            << " trials x " << cfg.sa.max_steps
             << " steps, " << result.evaluations << " oracle evaluations in "
             << result.wall_seconds << "s wall (" << threads << " thread"
             << (threads == 1 ? "" : "s");
@@ -808,10 +852,10 @@ int usage() {
          "  evaluate  --weights w.bin [--kind type1|type2] [--samples N]\n"
          "  optimize  --system s.json [--weights w.bin | --oracle"
          " sim|approx] [--steps N] [--trials T] [--out p.json]\n"
-         "            [--threads N] [--cache-size N] [--batch K]"
+         "            [--threads N] [--cache-size N]"
          " [--algo sa|pt|popanneal|bestofb] [--population K]\n"
          "            [--ladder-ratio R] [--exchange-interval N]"
-         " [--resample-interval N]\n"
+         " [--resample-interval N] [--seed S] [--horizon H]\n"
          "  serve     --system s.json [--weights w.bin | --manifest m.json |"
          " --oracle sim|approx] [--port P] [--threads N]\n"
          "            [--batch K] [--flush-ms W] [--max-queue N]"
@@ -830,29 +874,74 @@ int usage() {
   return 1;
 }
 
+/// Flags model_config reads.
+const FlagList kModelFlags = {"hidden", "iterations", "dtype"};
+/// Flags build_oracle and sim_config read (serve adds --manifest).
+const FlagList kOracleFlags =
+    with(kModelFlags, {"oracle", "weights", "cache-size", "horizon", "seed"});
+
+struct Command {
+  int (*run)(const Args&);
+  FlagList flags;  ///< every flag the command reads
+};
+
+const std::map<std::string, Command>& commands() {
+  static const std::map<std::string, Command> table = {
+      {"version", {cmd_version, {"dtype", "json"}}},
+      {"generate",
+       {cmd_generate, {"kind", "devices", "seed", "system", "placement"}}},
+      {"initial", {cmd_initial, {"system", "out"}}},
+      {"plan", {cmd_plan, with(kModelFlags, {"dump", "width"})}},
+      {"simulate",
+       {cmd_simulate, {"system", "placement", "horizon", "seed", "json"}}},
+      {"approx", {cmd_approx, {"system", "placement", "json"}}},
+      {"train",
+       {cmd_train, with(kModelFlags, {"weights", "samples", "epochs", "seed",
+                                      "label-arrivals"})}},
+      {"predict",
+       {cmd_predict,
+        with(kModelFlags, {"system", "placement", "weights", "json"})}},
+      {"evaluate",
+       {cmd_evaluate, with(kModelFlags, {"weights", "kind", "samples",
+                                         "seed", "label-arrivals"})}},
+      {"optimize",
+       {cmd_optimize,
+        with(kOracleFlags,
+             {"system", "steps", "trials", "out", "threads", "algo",
+              "population", "ladder-ratio", "exchange-interval",
+              "resample-interval"})}},
+      {"serve",
+       {cmd_serve,
+        with(kOracleFlags, {"manifest", "system", "port", "threads", "batch",
+                            "flush-ms", "max-queue", "name", "port-file"})}},
+      {"route",
+       {cmd_route, {"backends", "port", "metrics-port", "health-ms",
+                    "vnodes", "affinity", "port-file"}}},
+      {"reload", {cmd_reload, {"port", "host", "manifest", "json"}}},
+      {"query",
+       {cmd_query, {"port", "host", "stats", "ping", "shutdown", "placement",
+                    "system", "deadline-ms", "json"}}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Args args(argc, argv);
-  try {
-    if (command == "version") return cmd_version(args);
-    if (command == "generate") return cmd_generate(args);
-    if (command == "initial") return cmd_initial(args);
-    if (command == "plan") return cmd_plan(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "approx") return cmd_approx(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "predict") return cmd_predict(args);
-    if (command == "evaluate") return cmd_evaluate(args);
-    if (command == "optimize") return cmd_optimize(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "route") return cmd_route(args);
-    if (command == "reload") return cmd_reload(args);
-    if (command == "query") return cmd_query(args);
+  const auto it = commands().find(command);
+  if (it == commands().end()) {
     std::cerr << "unknown command '" << command << "'\n";
     return usage();
+  }
+  const Args args(argc, argv);
+  try {
+    args.allow_only(command, it->second.flags);
+    return it->second.run(args);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
