@@ -231,7 +231,7 @@ struct ChainNet::Impl : Module {
   // walk. It always runs the pre-fusion kernels (kernels::gemv_naive,
   // GruCell::forward_values_reference), so the parity gates compare the
   // plan executor against independent kernel code. Reached only through
-  // forward_values[_batch]_interpreted.
+  // forward_values_interpreted.
 
   using Vec = std::vector<double>;
 
@@ -439,347 +439,24 @@ struct ChainNet::Impl : Module {
   }
 
   // ------------------------------------------------------------------
-  // Interpreted batched inference: B placements of the same system
-  // lock-stepped through Algorithm 2. Chain/fragment state is batch-major
-  // — entity e keeps a row-major [H x B] panel with its B placements
-  // contiguous per row — so each GRU update is one GEMM with B columns.
-  // Device state is a single [H x D] panel, D = sum of per-placement
-  // used-device counts (device sets differ across placements), addressed
-  // through device_offset/device_col. Column b of every panel follows
-  // exactly the run_values_interpreted op sequence for graphs[b]; with the
-  // kernels' per-column accumulation-order guarantee that makes the batch
-  // bit-identical to B scalar passes (pinned by plan_test).
-
-  struct BatchWorkspace {
-    std::vector<Vec> service, fragment, fragment_prev;  // [entity] H x B
-    std::vector<Vec> service_at_step;                   // [step]   H x B
-    Vec device, device_prev;                            // H x D
-    std::vector<int> device_offset;  ///< per-placement device-column base
-    std::vector<int> device_col;     ///< (step, placement) -> device column
-    std::vector<int> msg_step, msg_b, msg_col;  ///< message -> source
-    struct Group {
-      int start = 0;  ///< first message column of this (placement, device)
-      int count = 0;
-      int col = 0;    ///< device column the aggregate lands in
-    };
-    std::vector<Group> groups;
-    Vec enc_in;                ///< gathered encoder input panel
-    Vec hs, h_next, m_c;       ///< chain-pass panels
-    Vec m_d;                   ///< 2H x D aggregated device messages
-    Vec messages, joints;      ///< 2H x M, 3H x M (M = S*B)
-    Vec att_act, transformed;  ///< H x M, 2H x M per head
-    Vec scores;                ///< M attention scores per head
-    Vec readout_in, readout_out;  ///< H x C*B and C*B readout panels
-    Mlp::Scratch mlp;
-    GruCell::Scratch gru;
-  };
-  BatchWorkspace bws_;
-
-  std::vector<std::vector<gnn::ChainValues>> run_values_batch_interpreted(
-      std::span<const PlacementGraph* const> graphs) {
-    gnn::validate_same_system_batch(graphs);
-    const std::size_t B = graphs.size();
-    // Width 1 is exactly the scalar path; skip the panel bookkeeping.
-    if (B == 1) return {run_values_interpreted(*graphs.front())};
-
-    const PlacementGraph& g0 = *graphs.front();
-    const auto h = static_cast<std::size_t>(config.hidden);
-    const auto C = static_cast<std::size_t>(g0.num_chains);
-    const auto S = static_cast<std::size_t>(g0.num_fragments());
-    BatchWorkspace& ws = bws_;
-
-    // Device-axis geometry.
-    ws.device_offset.resize(B + 1);
-    ws.device_offset[0] = 0;
-    for (std::size_t b = 0; b < B; ++b) {
-      ws.device_offset[b + 1] =
-          ws.device_offset[b] + graphs[b]->num_devices();
-    }
-    const auto D = static_cast<std::size_t>(ws.device_offset[B]);
-    ws.device_col.resize(S * B);
-    for (std::size_t b = 0; b < B; ++b) {
-      for (std::size_t s = 0; s < S; ++s) {
-        ws.device_col[s * B + b] =
-            ws.device_offset[b] + graphs[b]->steps[s].device_node;
-      }
-    }
-
-    // Device-message enumeration: one message per execution step, grouped
-    // by (placement, device node) in contiguous column ranges so each
-    // group's softmax reads a contiguous score slice. Fixed across
-    // iterations.
-    const std::size_t M = S * B;
-    ws.msg_step.resize(M);
-    ws.msg_b.resize(M);
-    ws.msg_col.resize(M);
-    ws.groups.clear();
-    bool any_multi = false;
-    {
-      int m = 0;
-      for (std::size_t b = 0; b < B; ++b) {
-        const auto& g = *graphs[b];
-        for (int dn = 0; dn < g.num_devices(); ++dn) {
-          const auto& steps = g.device_node_steps[dn];
-          ws.groups.push_back(BatchWorkspace::Group{m, static_cast<int>(steps.size()),
-                                    ws.device_offset[b] + dn});
-          any_multi |= steps.size() > 1;
-          for (int sid : steps) {
-            ws.msg_step[m] = sid;
-            ws.msg_b[m] = static_cast<int>(b);
-            ws.msg_col[m] = ws.device_offset[b] + dn;
-            ++m;
-          }
-        }
-      }
-    }
-
-    // Initial embeddings: gather each entity's per-placement features into
-    // a column panel, encode with one GEMM, tanh in place.
-    fit_rows(ws.service, C, h * B);
-    fit_rows(ws.fragment, S, h * B);
-    ws.device.resize(h * D);
-    ws.enc_in.resize(std::max({static_cast<std::size_t>(
-                                   edge::kFragmentFeatureDim) * B,
-                               static_cast<std::size_t>(
-                                   edge::kDeviceFeatureDim) * D}));
-    for (std::size_t i = 0; i < C; ++i) {
-      const std::size_t dim = g0.service_features[i].size();
-      for (std::size_t f = 0; f < dim; ++f) {
-        for (std::size_t b = 0; b < B; ++b) {
-          ws.enc_in[f * B + b] = graphs[b]->service_features[i][f];
-        }
-      }
-      enc_service->forward_values_batch(ws.enc_in.data(),
-                                        ws.service[i].data(), B);
-      apply_activation_values(ws.service[i], Activation::kTanh);
-    }
-    for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t dim = g0.fragment_features[s].size();
-      for (std::size_t f = 0; f < dim; ++f) {
-        for (std::size_t b = 0; b < B; ++b) {
-          ws.enc_in[f * B + b] = graphs[b]->fragment_features[s][f];
-        }
-      }
-      enc_fragment->forward_values_batch(ws.enc_in.data(),
-                                         ws.fragment[s].data(), B);
-      apply_activation_values(ws.fragment[s], Activation::kTanh);
-    }
-    for (std::size_t b = 0; b < B; ++b) {
-      const auto& g = *graphs[b];
-      for (int dn = 0; dn < g.num_devices(); ++dn) {
-        const std::size_t col =
-            static_cast<std::size_t>(ws.device_offset[b] + dn);
-        for (std::size_t f = 0; f < g.device_features[dn].size(); ++f) {
-          ws.enc_in[f * D + col] = g.device_features[dn][f];
-        }
-      }
-    }
-    enc_device->forward_values_batch(ws.enc_in.data(), ws.device.data(), D);
-    apply_activation_values(ws.device, Activation::kTanh);
-
-    fit_rows(ws.fragment_prev, S, h * B);
-    fit_rows(ws.service_at_step, S, h * B);
-    ws.hs.resize(h * B);
-    ws.h_next.resize(h * B);
-    ws.m_c.resize(2 * h * B);
-    ws.device_prev.resize(h * D);
-    ws.m_d.resize(2 * h * D);
-    ws.messages.resize(2 * h * M);
-    const bool use_attention = config.attention_aggregation && any_multi;
-    if (use_attention) {
-      ws.joints.resize(3 * h * M);
-      ws.att_act.resize(h * M);
-      ws.transformed.resize(2 * h * M);
-      ws.scores.resize(M);
-    }
-
-    const double head_scale = 1.0 / static_cast<double>(attention.size());
-    for (int n = 0; n < config.iterations; ++n) {
-      for (std::size_t s = 0; s < S; ++s) {
-        ws.fragment_prev[s].assign(ws.fragment[s].begin(),
-                                   ws.fragment[s].end());
-      }
-      ws.device_prev.assign(ws.device.begin(), ws.device.end());
-
-      // Chain pass: one GEMM with B columns per execution step.
-      for (std::size_t i = 0; i < C; ++i) {
-        ws.hs.assign(ws.service[i].begin(), ws.service[i].end());
-        for (int s : g0.sequences[static_cast<int>(i)]) {
-          const auto su = static_cast<std::size_t>(s);
-          // m_c = [fragment_prev || device_prev]: top block is a straight
-          // panel copy, bottom block gathers each placement's device
-          // column.
-          std::copy(ws.fragment_prev[su].begin(), ws.fragment_prev[su].end(),
-                    ws.m_c.begin());
-          const int* cols = ws.device_col.data() + su * B;
-          for (std::size_t r = 0; r < h; ++r) {
-            const double* src = ws.device_prev.data() + r * D;
-            double* dst = ws.m_c.data() + (h + r) * B;
-            for (std::size_t b = 0; b < B; ++b) dst[b] = src[cols[b]];
-          }
-          phi_c->forward_values_batch(ws.hs.data(), ws.m_c.data(),
-                                      ws.h_next.data(), B, ws.gru);
-          ws.hs.swap(ws.h_next);
-          ws.service_at_step[su].assign(ws.hs.begin(), ws.hs.end());
-          // m_f = [h || device_prev]: the bottom block is unchanged.
-          std::copy(ws.hs.begin(), ws.hs.end(), ws.m_c.begin());
-          phi_f->forward_values_batch(ws.fragment_prev[su].data(),
-                                      ws.m_c.data(), ws.fragment[su].data(),
-                                      B, ws.gru);
-        }
-        ws.service[i].assign(ws.hs.begin(), ws.hs.end());
-      }
-
-      // Device pass. Gather every (placement, step) message into one
-      // [2H x M] panel...
-      for (std::size_t r = 0; r < h; ++r) {
-        double* top = ws.messages.data() + r * M;
-        double* bot = ws.messages.data() + (h + r) * M;
-        for (std::size_t m = 0; m < M; ++m) {
-          const std::size_t idx =
-              r * B + static_cast<std::size_t>(ws.msg_b[m]);
-          top[m] = ws.service_at_step[ws.msg_step[m]][idx];
-          bot[m] = ws.fragment_prev[ws.msg_step[m]][idx];
-        }
-      }
-      // ... aggregate per group into the m_d panel ...
-      for (const BatchWorkspace::Group& grp : ws.groups) {
-        double* dst = ws.m_d.data() + grp.col;
-        if (grp.count == 1) {
-          const double* src = ws.messages.data() + grp.start;
-          for (std::size_t r = 0; r < 2 * h; ++r) dst[r * D] = src[r * M];
-        } else if (!config.attention_aggregation) {
-          const double inv = 1.0 / static_cast<double>(grp.count);
-          for (std::size_t r = 0; r < 2 * h; ++r) {
-            const double* src = ws.messages.data() + r * M + grp.start;
-            double acc = 0.0;
-            for (int t = 0; t < grp.count; ++t) acc += src[t];
-            dst[r * D] = acc * inv;
-          }
-        } else {
-          for (std::size_t r = 0; r < 2 * h; ++r) dst[r * D] = 0.0;
-        }
-      }
-      if (use_attention) {
-        // Joints [h_k || m_t] for eq. 15, batched over all M messages.
-        for (std::size_t r = 0; r < h; ++r) {
-          const double* src = ws.device_prev.data() + r * D;
-          double* dst = ws.joints.data() + r * M;
-          for (std::size_t m = 0; m < M; ++m) {
-            dst[m] = src[ws.msg_col[m]];
-          }
-        }
-        std::copy(ws.messages.begin(), ws.messages.end(),
-                  ws.joints.begin() + static_cast<std::ptrdiff_t>(h * M));
-        for (const auto& head : attention) {
-          // Scores (eq. 15): one GEMM over all messages, LeakyReLU, then
-          // a column-wise alpha dot (ascending j, matching the scalar
-          // path's accumulation order).
-          kernels::gemm(head.w_att.value().data(), nullptr,
-                        ws.joints.data(), ws.att_act.data(), h, 3 * h, M);
-          for (auto& v : ws.att_act) v = v > 0.0 ? v : 0.2 * v;
-          std::fill(ws.scores.begin(), ws.scores.end(), 0.0);
-          const auto alpha = head.alpha.value();
-          for (std::size_t j = 0; j < h; ++j) {
-            const double a = alpha[j];
-            const double* row = ws.att_act.data() + j * M;
-            for (std::size_t m = 0; m < M; ++m) ws.scores[m] += a * row[m];
-          }
-          kernels::gemm(head.w_msg.value().data(), nullptr,
-                        ws.messages.data(), ws.transformed.data(), 2 * h,
-                        2 * h, M);
-          // Per-group stable softmax + weighted accumulation, in the
-          // scalar path's exact (head, t) order per device column.
-          for (const BatchWorkspace::Group& grp : ws.groups) {
-            if (grp.count <= 1) continue;
-            double* sc = ws.scores.data() + grp.start;
-            double max_score = sc[0];
-            for (int t = 0; t < grp.count; ++t) {
-              max_score = std::max(max_score, sc[t]);
-            }
-            double denom = 0.0;
-            for (int t = 0; t < grp.count; ++t) {
-              sc[t] = std::exp(sc[t] - max_score);
-              denom += sc[t];
-            }
-            double* dst = ws.m_d.data() + grp.col;
-            for (int t = 0; t < grp.count; ++t) {
-              const double wgt = head_scale * sc[t] / denom;
-              const double* src =
-                  ws.transformed.data() + grp.start + static_cast<std::size_t>(t);
-              for (std::size_t r = 0; r < 2 * h; ++r) {
-                dst[r * D] += wgt * src[r * M];
-              }
-            }
-          }
-        }
-      }
-      // ... and one GRU GEMM over all D device instances.
-      phi_d->forward_values_batch(ws.device_prev.data(), ws.m_d.data(),
-                                  ws.device.data(), D, ws.gru);
-    }
-
-    // Readout over C*B columns (eq. 12).
-    const std::size_t CB = C * B;
-    ws.readout_in.resize(h * CB);
-    ws.readout_out.resize(CB);
-    for (std::size_t i = 0; i < C; ++i) {
-      for (std::size_t r = 0; r < h; ++r) {
-        std::copy_n(ws.service[i].data() + r * B, B,
-                    ws.readout_in.data() + r * CB + i * B);
-      }
-    }
-    mlp_tput->forward_values_batch(ws.readout_in.data(),
-                                   ws.readout_out.data(), CB, ws.mlp);
-    std::vector<std::vector<gnn::ChainValues>> outputs(B);
-    for (std::size_t b = 0; b < B; ++b) outputs[b].resize(C);
-    for (std::size_t i = 0; i < C; ++i) {
-      for (std::size_t b = 0; b < B; ++b) {
-        outputs[b][i].throughput = ws.readout_out[i * B + b];
-        outputs[b][i].has_throughput = true;
-      }
-    }
-    for (std::size_t i = 0; i < C; ++i) {
-      const auto& seq = g0.sequences[static_cast<int>(i)];
-      for (std::size_t r = 0; r < h; ++r) {
-        double* dst = ws.readout_in.data() + r * CB + i * B;
-        std::fill_n(dst, B, 0.0);
-        for (int s : seq) {
-          const double* f =
-              ws.fragment[static_cast<std::size_t>(s)].data() + r * B;
-          for (std::size_t b = 0; b < B; ++b) dst[b] += f[b];
-        }
-        if (config.modified_outputs) {
-          const double inv = 1.0 / static_cast<double>(seq.size());
-          for (std::size_t b = 0; b < B; ++b) dst[b] *= inv;
-        }
-      }
-    }
-    mlp_latency->forward_values_batch(ws.readout_in.data(),
-                                      ws.readout_out.data(), CB, ws.mlp);
-    for (std::size_t i = 0; i < C; ++i) {
-      for (std::size_t b = 0; b < B; ++b) {
-        outputs[b][i].latency = ws.readout_out[i * B + b];
-        outputs[b][i].has_latency = true;
-      }
-    }
-    return outputs;
-  }
-
-  // ------------------------------------------------------------------
-  // Plan executor. The interpreted walks above re-derive the op order per
+  // Plan executor. The interpreted walk above re-derives the op order per
   // call; replay<T> instead runs a flat op list compiled once per
   // (topology, shape, width) — see gnn/plan.h — over the batched kernels,
-  // with every buffer an offset into one arena. A single placement is a
-  // batch of width 1: at B=1 every GRU update is still one GEMM over the
-  // batch's columns, attention scores all device messages in two panel
-  // GEMMs, and the readout runs over all chains at once. The fragment/
-  // device panels are double-buffered across iterations (offsets baked per
-  // iteration by the compiler), which deletes the interpreted path's
-  // per-iteration snapshot copies; everything else is the interpreted batch
-  // walk's kernel-call sequence, and the kernels' per-column accumulation
-  // order makes every width bit-for-bit equal to the reference executor
-  // (plan_test, bench_infer parity gate).
+  // with every buffer an offset into one arena. B placements of the same
+  // system run lock-stepped: chain and fragment state is batch-major (each
+  // entity's row-major [H x B] panel keeps its B placements contiguous per
+  // row), so every GRU update is one GEMM with B columns. Device state is
+  // one [H x D] panel, D = the sum of the placements' used-device counts
+  // (device sets differ across placements), addressed through the tables
+  // bind() builds. A single placement is a batch of width 1: at B=1 every
+  // GRU update is still one GEMM, attention scores all device messages in
+  // two panel GEMMs, and the readout runs over all chains at once. The
+  // fragment/device panels are double-buffered across iterations (offsets
+  // baked per iteration by the compiler), which deletes the interpreted
+  // walk's per-iteration snapshot copies. Column b of every panel follows
+  // the interpreted walk's op sequence on graphs[b], and the kernels'
+  // per-column accumulation order makes every lane of every width
+  // bit-for-bit equal to that walk (plan_test, bench_infer parity gate).
   //
   // One template serves every numeric tier (DESIGN.md §15): T = double for
   // kF64, T = float for kF32 and kBf16. Only three things depend on T, each
@@ -799,14 +476,19 @@ struct ChainNet::Impl : Module {
   std::vector<std::shared_ptr<const gnn::Plan>> plan_memo_;
 
   /// Replay-time state: the plan arenas (one per element type, grow-only)
-  /// plus the placement-dependent device geometry bound per replay (the
-  /// same tables the interpreted batch path rebuilds every call).
+  /// plus the placement-dependent device geometry bind() builds per replay.
   struct PlanExec {
+    struct Group {
+      int start = 0;  ///< first message column of this (placement, device)
+      int count = 0;
+      int col = 0;    ///< device column the aggregate lands in
+    };
     std::vector<double> arena;
     std::vector<float> arena_f32;
-    std::vector<int> device_offset, device_col;
-    std::vector<int> msg_step, msg_b, msg_col;
-    std::vector<BatchWorkspace::Group> groups;
+    std::vector<int> device_offset;  ///< per-placement device-column base
+    std::vector<int> device_col;     ///< (step, placement) -> device column
+    std::vector<int> msg_step, msg_b, msg_col;  ///< message -> source
+    std::vector<Group> groups;
     bool any_multi = false;
     Mlp::Scratch mlp;
     GruCell::Scratch gru;
@@ -838,9 +520,10 @@ struct ChainNet::Impl : Module {
     return plan;
   }
 
-  /// Binds the placement-dependent device geometry for a replay: identical
-  /// tables (and construction order) to the interpreted batch path's
-  /// per-call bookkeeping.
+  /// Binds the placement-dependent device geometry for a replay. Device
+  /// messages, one per execution step, are grouped by (placement, device
+  /// node) in contiguous column ranges, so each group's softmax reads a
+  /// contiguous score slice; the grouping is fixed across iterations.
   void bind(std::span<const PlacementGraph* const> graphs) {
     const std::size_t B = graphs.size();
     const PlacementGraph& g0 = *graphs.front();
@@ -869,7 +552,7 @@ struct ChainNet::Impl : Module {
       const auto& g = *graphs[b];
       for (int dn = 0; dn < g.num_devices(); ++dn) {
         const auto& steps = g.device_node_steps[dn];
-        px_.groups.push_back(BatchWorkspace::Group{
+        px_.groups.push_back(PlanExec::Group{
             m, static_cast<int>(steps.size()), px_.device_offset[b] + dn});
         px_.any_multi |= steps.size() > 1;
         for (int sid : steps) {
@@ -1086,7 +769,7 @@ struct ChainNet::Impl : Module {
           break;
         }
         case gnn::PlanOpKind::kBatchAggregateInit: {
-          for (const BatchWorkspace::Group& grp : px_.groups) {
+          for (const PlanExec::Group& grp : px_.groups) {
             T* dst = A + L.m_d + grp.col;
             if (grp.count == 1) {
               const T* src = A + L.messages + grp.start;
@@ -1108,7 +791,7 @@ struct ChainNet::Impl : Module {
         case gnn::PlanOpKind::kBatchAttentionJoints: {
           // No multi-step device anywhere in the batch: every group was
           // fully aggregated by the count==1 copies, skip the attention
-          // panels entirely (matches the interpreted use_attention gate).
+          // panels entirely.
           if (!use_attention) break;
           for (std::size_t r = 0; r < h; ++r) {
             const T* src = A + op.in1 + r * D;
@@ -1139,7 +822,7 @@ struct ChainNet::Impl : Module {
           }
           kernels::gemm(head.w_msg, nullptr, A + L.messages, A + L.transformed,
                         2 * h, 2 * h, M);
-          for (const BatchWorkspace::Group& grp : px_.groups) {
+          for (const PlanExec::Group& grp : px_.groups) {
             if (grp.count <= 1) continue;
             T* sc = scores + grp.start;
             T max_score = sc[0];
@@ -1243,12 +926,6 @@ std::vector<std::vector<gnn::ChainValues>> ChainNet::forward_values_batch(
 std::vector<gnn::ChainValues> ChainNet::forward_values_interpreted(
     const PlacementGraph& g) {
   return impl_->run_values_interpreted(g);
-}
-
-std::vector<std::vector<gnn::ChainValues>>
-ChainNet::forward_values_batch_interpreted(
-    std::span<const PlacementGraph* const> graphs) {
-  return impl_->run_values_batch_interpreted(graphs);
 }
 
 void ChainNet::set_plan_cache(std::shared_ptr<gnn::PlanCache> cache) {

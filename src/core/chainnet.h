@@ -96,15 +96,14 @@ class ChainNet final : public gnn::GraphModel {
       std::span<const edge::PlacementGraph* const> graphs) override;
 
   /// Reference executor: the interpreted Algorithm-2 graph walk the plans
-  /// are compiled from, always in f64 over the pre-fusion kernels
-  /// (kernels::gemv_naive, GruCell::forward_values_reference). Kept public
-  /// so the parity gates (plan_test, chainnet_batch_test, bench_infer) can
-  /// cross-check replay against it explicitly; production callers go
-  /// through forward_values[_batch] (lint rule R7-plan-discipline).
+  /// are compiled from, one placement at a time, always in f64 over the
+  /// pre-fusion kernels (kernels::gemv_naive,
+  /// GruCell::forward_values_reference). Kept public so the parity gates
+  /// (plan_test, chainnet_batch_test, bench_infer) can check every lane of
+  /// every replay width against it; production callers go through
+  /// forward_values[_batch] (lint rule R7-plan-discipline).
   std::vector<gnn::ChainValues> forward_values_interpreted(
       const edge::PlacementGraph& g);
-  std::vector<std::vector<gnn::ChainValues>> forward_values_batch_interpreted(
-      std::span<const edge::PlacementGraph* const> graphs);
 
   /// Swaps in a shared plan cache (nullptr restores a private one). The
   /// per-model plan memo is dropped so subsequent forwards resolve through

@@ -9,16 +9,16 @@
 // the heterogeneous graph per call. There is one op flavour: a single
 // placement replays the width-1 plan, whose panels are one column wide.
 // Placement-dependent geometry (which device column each step reads, the
-// per-device message groups) is bound per replay from the graph — the same
-// tables the interpreted batch path already rebuilt every call — so a plan
+// per-device message groups) is bound per replay from the graph, so a plan
 // is reusable across every placement, every weight version, and every
 // model instance that shares its (topology, shape, width) key.
 //
 // Plans are weight-independent: a serving hot-swap that replaces model
 // weights never invalidates a plan; only a topology change compiles a new
 // one. The interpreted walk survives as the reference executor
-// (ChainNet::forward_values[_batch]_interpreted), and replay must match it
-// bit for bit (plan_test, bench_infer parity gate).
+// (ChainNet::forward_values_interpreted, one placement at a time), and
+// every lane of every replay width must match it bit for bit on that
+// lane's graph (plan_test, bench_infer parity gate).
 #pragma once
 
 #include <cstdint>

@@ -37,7 +37,9 @@ Json make_eval_request(std::span<const edge::Placement> placements,
 Client::Client(const std::string& host, int port) {
   sockaddr_in addr;
   if (!ipv4_address(host, port, addr)) {
-    throw std::runtime_error("Client: invalid host '" + host + "'");
+    throw std::runtime_error("Client: connect to " + host + ":" +
+                             std::to_string(port) +
+                             ": not an IPv4 address and port");
   }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {

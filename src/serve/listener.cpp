@@ -64,7 +64,9 @@ void Listener::start(const std::string& host, int port) {
   }
   sockaddr_in addr;
   if (!ipv4_address(host, port, addr)) {
-    throw std::runtime_error("invalid host '" + host + "'");
+    throw std::runtime_error("listen on " + host + ":" +
+                             std::to_string(port) +
+                             ": not an IPv4 address and port");
   }
   const int one = 1;
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -52,6 +52,7 @@ int recv_all(int fd, char* data, std::size_t size) {
 
 bool ipv4_address(const std::string& host, int port, sockaddr_in& out) {
   out = sockaddr_in{};
+  if (port < 0 || port > 65535) return false;
   out.sin_family = AF_INET;
   out.sin_port = htons(static_cast<std::uint16_t>(port));
   const std::string numeric = host == "localhost" ? "127.0.0.1" : host;

@@ -73,7 +73,8 @@ enum class FrameStatus {
 void set_low_latency(int fd) noexcept;
 
 /// Fills `out` with host:port as an IPv4 address. `host` is a dotted quad
-/// or "localhost" (127.0.0.1); anything else returns false.
+/// or "localhost" (127.0.0.1) and `port` lies in [0, 65535]; anything else
+/// returns false.
 bool ipv4_address(const std::string& host, int port, sockaddr_in& out);
 
 /// Sends all of `data`, looping over EINTR and short writes. Returns false

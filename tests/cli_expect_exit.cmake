@@ -5,7 +5,9 @@
 #         -P cli_expect_exit.cmake -- <program> <args...>
 #
 # ctest's WILL_FAIL accepts any nonzero exit; the CLI's usage errors (exit
-# 1) must stay apart from runtime failures (exit 2).
+# 1) must stay apart from runtime failures (exit 2). The command gets 10 s:
+# a server command that wrongly accepts its flags starts serving, and must
+# fail the test instead of hanging ctest.
 set(command)
 set(collect FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -21,7 +23,7 @@ if(NOT command)
 endif()
 
 execute_process(COMMAND ${command} RESULT_VARIABLE code
-                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+                OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 10)
 message("${out}${err}")
 if(NOT code STREQUAL "${EXPECTED_EXIT}")
   message(FATAL_ERROR "exit code ${code}, expected ${EXPECTED_EXIT}")

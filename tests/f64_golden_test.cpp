@@ -104,7 +104,7 @@ std::vector<edge::Placement> lane_placements() {
           edge::Placement(std::vector<std::vector<int>>{{2, 0, 1}, {1, 2}})};
 }
 
-/// A reduced tier must reproduce `lanes` at B=1 (lane 0's placement) and
+/// The `dtype` tier must reproduce `lanes` at B=1 (lane 0's placement) and
 /// in every lane of a B=3 batch.
 void expect_reduced_tier(ChainNetConfig cfg, std::uint64_t seed,
                          tensor::DType dtype,
@@ -135,6 +135,55 @@ ChainNetConfig small_config() {
   cfg.hidden = 8;
   cfg.iterations = 2;
   return cfg;
+}
+
+// f64 lanes for the default config and each Table VI ablation: the sum
+// readout (modified_outputs = false) and the original input features
+// (modified_inputs = false) are pinned to literals here, not only against
+// the interpreted walk, which shares build_graph, the activations and the
+// readout MLPs with replay.
+TEST(F64Golden, DefaultConfigLanes) {
+  expect_reduced_tier(
+      small_config(), 42, tensor::DType::kF64,
+      {{{0.44760138090678653, 0.56000077468157961},
+        {0.44760318290532514, 0.52531863122347211}},
+       {{0.47300844710400974, 0.5493799111877089},
+        {0.45671797038015799, 0.54871723641118997}},
+       {{0.47316712683557322, 0.54003550253218813},
+        {0.47161190838067518, 0.54270971841054427}}});
+}
+
+TEST(F64Golden, AblationAlphaLanes) {
+  expect_reduced_tier(
+      ChainNetConfig::ablation_alpha(), 45, tensor::DType::kF64,
+      {{{0.098516600351588712, -1.3857958823126466},
+        {0.21666601170425837, -0.99600586131365132}},
+       {{0.052075093917336557, -1.3758390911969012},
+        {0.13745043065330459, -0.96412836408477709}},
+       {{0.038091994901734455, -1.3014675102188356},
+        {0.053465471420622454, -0.85422468251642325}}});
+}
+
+TEST(F64Golden, AblationBetaLanes) {
+  expect_reduced_tier(
+      ChainNetConfig::ablation_beta(), 46, tensor::DType::kF64,
+      {{{0.024307546472801561, -0.095543455352745763},
+        {0.040352330704660141, -0.069535345630696424}},
+       {{-0.018359142305753914, -0.2226192634227252},
+        {0.035017797850696426, -0.026266369636647656}},
+       {{-0.023347468030641916, -0.096418179273948232},
+        {-0.044515933816630243, -0.017072916121725672}}});
+}
+
+TEST(F64Golden, AblationDeltaLanes) {
+  expect_reduced_tier(
+      ChainNetConfig::ablation_delta(), 47, tensor::DType::kF64,
+      {{{0.41127135941120324, 0.44102361967591008},
+        {0.42590929369861558, 0.40847785616107218}},
+       {{0.3986685314299368, 0.43628319040725166},
+        {0.42659017447420816, 0.4192277385414136}},
+       {{0.41299052538095549, 0.41725417280384025},
+        {0.40883018348273015, 0.40339177269904058}}});
 }
 
 TEST(ReducedTierGolden, F32DefaultConfig) {

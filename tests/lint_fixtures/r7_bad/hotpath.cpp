@@ -6,6 +6,6 @@ double score(Model& model, const Graph& g) {
   return values.front().throughput;
 }
 
-void score_batch(Impl& impl, Batch graphs) {
-  impl.run_values_batch_interpreted(graphs);
+void score_internal(Impl& impl, const Graph& g) {
+  impl.run_values_interpreted(g);
 }

@@ -3,6 +3,8 @@
 // truncation, oversize rejection) is the same one the server runs.
 #include "serve/protocol.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -138,6 +140,17 @@ TEST(Protocol, ErrorCodeNamesRoundTrip) {
     EXPECT_EQ(*back, code);
   }
   EXPECT_FALSE(error_code_from_name("no_such_code").has_value());
+}
+
+TEST(Protocol, PortsOutsideTheTcpRangeAreRejectedNotWrapped) {
+  sockaddr_in addr;
+  EXPECT_FALSE(ipv4_address("127.0.0.1", -1, addr));
+  EXPECT_FALSE(ipv4_address("127.0.0.1", 65536, addr));
+  ASSERT_TRUE(ipv4_address("127.0.0.1", 0, addr));
+  EXPECT_EQ(ntohs(addr.sin_port), 0);
+  ASSERT_TRUE(ipv4_address("localhost", 65535, addr));
+  EXPECT_EQ(ntohs(addr.sin_port), 65535);
+  EXPECT_EQ(ntohl(addr.sin_addr.s_addr), INADDR_LOOPBACK);
 }
 
 TEST(Protocol, ResponseBuilders) {

@@ -60,7 +60,9 @@
 //
 // Each command accepts only the flags it reads; an unknown flag, a missing
 // required flag, or a value that does not parse as the number (or the int)
-// the flag takes is a usage error.
+// the flag takes is a usage error. So is a port (--port, --metrics-port,
+// each --backends port) that is not an integer in [0, 65535];
+// --metrics-port also takes -1, which disables the metrics listener.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
 #include <algorithm>
@@ -117,6 +119,25 @@ struct UsageError : std::runtime_error {
 };
 
 using FlagList = std::vector<std::string_view>;
+
+/// Parses `text`, the value given for --`flag`, as a TCP port: an integer
+/// written out in full and lying in [lowest, 65535] (lowest is -1 where -1
+/// disables a listener).
+int parse_port(const std::string& flag, const std::string& text,
+               int lowest = 0) {
+  std::size_t used = 0;
+  long value = 0;
+  try {
+    value = std::stol(text, &used);
+  } catch (const std::exception&) {
+    used = 0;  // no digits, or out of long range
+  }
+  if (used == 0 || used != text.size() || value < lowest || value > 65535) {
+    throw UsageError("--" + flag + " expects a port in [" +
+                     std::to_string(lowest) + ", 65535], got '" + text + "'");
+  }
+  return static_cast<int>(value);
+}
 
 /// `base` plus `more`.
 FlagList with(FlagList base, std::initializer_list<std::string_view> more) {
@@ -195,6 +216,10 @@ class Args {
                        flags_.at(key) + "'");
     }
     return static_cast<int>(value);
+  }
+  int port(const std::string& key, int fallback, int lowest = 0) const {
+    auto it = flags_.find(key);
+    return it == flags_.end() ? fallback : parse_port(key, it->second, lowest);
   }
 
  private:
@@ -655,7 +680,7 @@ int cmd_serve(const Args& args) {
   runtime::EvalService service(pool, setup.factory, seed);
 
   serve::ServerConfig config;
-  config.port = args.integer("port", 0);
+  config.port = args.port("port", 0);
   config.max_batch = args.integer("batch", 32);
   config.flush_window_ms = args.number("flush-ms", 0.5);
   config.max_pending =
@@ -715,15 +740,15 @@ int cmd_route(const Args& args) {
     }
     serve::BackendAddress addr;
     addr.host = entry.substr(0, colon);
-    addr.port = std::stoi(entry.substr(colon + 1));
+    addr.port = parse_port("backends", entry.substr(colon + 1));
     config.backends.push_back(std::move(addr));
   }
   if (config.backends.empty()) {
     std::cerr << "--backends must name at least one host:port\n";
     return 1;
   }
-  config.port = args.integer("port", 0);
-  config.metrics_port = args.integer("metrics-port", 0);
+  config.port = args.port("port", 0);
+  config.metrics_port = args.port("metrics-port", 0, -1);
   config.vnodes_per_backend = args.integer("vnodes", 128);
   config.health_interval_ms = args.number("health-ms", 200.0);
   const std::string affinity = args.get("affinity", "system");
@@ -768,7 +793,7 @@ int cmd_route(const Args& args) {
 
 int cmd_reload(const Args& args) {
   serve::Client client(args.get("host", "127.0.0.1"),
-                       args.integer("port", 0));
+                       args.port("port", 0));
   Json request;
   request["type"] = Json("reload");
   // The path is opened by the *server* process, so it must be absolute or
@@ -799,7 +824,7 @@ int cmd_reload(const Args& args) {
 
 int cmd_query(const Args& args) {
   serve::Client client(args.get("host", "127.0.0.1"),
-                       args.integer("port", 0));
+                       args.port("port", 0));
   if (args.has("stats")) {
     std::cout << client.stats().dump(2) << "\n";
     return 0;

@@ -34,8 +34,7 @@ const std::set<std::string>& tensor_private_symbols() {
 // and the plan compiler.
 const std::set<std::string>& interpret_entry_points() {
   static const std::set<std::string> kEntryPoints = {
-      "forward_values_interpreted", "forward_values_batch_interpreted",
-      "run_values_interpreted", "run_values_batch_interpreted"};
+      "forward_values_interpreted", "run_values_interpreted"};
   return kEntryPoints;
 }
 
