@@ -19,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -89,11 +91,13 @@ TEST(KernelsF32, GemmColumnsMatchGemvBitExact) {
   // with remainders on both sides of each boundary; n > 64 additionally
   // exercises the packed-panel path. Rows sweep the 2- and 4-row block
   // remainders the row-blocked tiles introduce.
-  for (const std::size_t n :
-       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 48u,
-        63u, 64u, 65u, 89u, 128u}) {
-    expect_gemm_matches_gemv(6, 33, n, true);
-    expect_gemm_matches_gemv(6, 33, n, false);
+  for (const std::size_t rows : {1u, 6u, 7u, 9u, 17u, 192u}) {
+    for (const std::size_t n :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 48u,
+          63u, 64u, 65u, 89u, 128u}) {
+      expect_gemm_matches_gemv(rows, 33, n, true);
+      expect_gemm_matches_gemv(rows, 33, n, false);
+    }
   }
   for (const std::size_t rows : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
     expect_gemm_matches_gemv(rows, 19, 32, true);
@@ -110,6 +114,59 @@ TEST(KernelsF32, GemmColumnsMatchGemvBitExact) {
 TEST(KernelsF32, GemmWithSingleColumnIsGemv) {
   expect_gemm_matches_gemv(9, 17, 1, true);
   expect_gemm_matches_gemv(9, 17, 1, false);
+}
+
+/// FNV-1a over the bits of every f32 gemv, gemv_naive and gemm output on
+/// a fixed seeded sweep: pins the rounding regime itself, which the
+/// within-table parity tests above cannot see (see kernels_test).
+std::uint64_t regime_hash() {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](const std::vector<float>& values) {
+    for (const float v : values) {
+      unsigned char bytes[sizeof v];
+      std::memcpy(bytes, &v, sizeof v);
+      for (const unsigned char byte : bytes) {
+        hash = (hash ^ byte) * 1099511628211ull;
+      }
+    }
+  };
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 70; ++n) widths.push_back(n);
+  widths.push_back(130);
+  widths.push_back(384);
+  for (const std::size_t rows : {1u, 5u, 7u, 9u, 17u, 192u}) {
+    for (const std::size_t cols : {1u, 33u, 128u}) {
+      support::Rng rng(1000 * rows + cols);
+      const auto w = random_values(rows * cols, rng);
+      const auto bias = random_values(rows, rng);
+      const auto x = random_values(cols * 384, rng);
+      for (const bool with_bias : {true, false}) {
+        const float* b = with_bias ? bias.data() : nullptr;
+        std::vector<float> y(rows);
+        kernels::gemv(w.data(), b, x.data(), y.data(), rows, cols);
+        mix(y);
+        kernels::gemv_naive(w.data(), b, x.data(), y.data(), rows, cols);
+        mix(y);
+        for (const std::size_t n : widths) {
+          y.assign(rows * n, 0.0f);
+          kernels::gemm(w.data(), b, x.data(), y.data(), rows, cols, n);
+          mix(y);
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(KernelsF32, RoundingRegimeIsPinned) {
+  // One literal for the separately rounded baseline, one shared by the two
+  // FMA tiers (AVX2 and AVX-512 run the same fused chains).
+  const std::string isa_name = kernels::isa();
+  const std::uint64_t expected = isa_name == "baseline"
+                                     ? 0x4e717241dd2d63f5ull
+                                     : 0x753e96e7fba989cdull;
+  const std::uint64_t actual = regime_hash();
+  EXPECT_EQ(actual, expected) << std::hex << actual << " at " << isa_name;
 }
 
 TEST(KernelsF32, ReportsKnownIsa) {

@@ -8,6 +8,8 @@
 // closeness.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -74,12 +76,15 @@ void expect_gemm_matches_gemv(std::size_t rows, std::size_t cols,
 TEST(Kernels, GemmColumnsMatchGemvBitExact) {
   // n sweeps every tile width (32/16/8/4/2/1) with remainders on both sides
   // of each boundary; n > the top tile width additionally exercises the
-  // packed-panel path of the wide tiles.
-  for (const std::size_t n :
-       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 40u,
-        64u, 89u}) {
-    expect_gemm_matches_gemv(6, 33, n, true);
-    expect_gemm_matches_gemv(6, 33, n, false);
+  // packed-panel path of the wide tiles. Rows sweep the row-block
+  // remainders (1, 2 and 4 rows per block) up to a stacked GRU gate panel.
+  for (const std::size_t rows : {1u, 6u, 7u, 9u, 17u, 192u}) {
+    for (const std::size_t n :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 40u,
+          64u, 89u}) {
+      expect_gemm_matches_gemv(rows, 33, n, true);
+      expect_gemm_matches_gemv(rows, 33, n, false);
+    }
   }
   // Shapes from the real model: stacked GRU gate panels and attention
   // projections at paper width, with a wide batch panel.
@@ -94,6 +99,60 @@ TEST(Kernels, GemmWithSingleColumnIsGemv) {
   // correctly.
   expect_gemm_matches_gemv(9, 17, 1, true);
   expect_gemm_matches_gemv(9, 17, 1, false);
+}
+
+/// FNV-1a over the bits of every gemv, gemv_naive and gemm output on a
+/// fixed seeded sweep. The parity tests above compare kernels of one table
+/// with each other, so a table that dropped FMA everywhere would still pass
+/// them; this hash pins the rounding regime itself.
+std::uint64_t regime_hash() {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](const std::vector<double>& values) {
+    for (const double v : values) {
+      unsigned char bytes[sizeof v];
+      std::memcpy(bytes, &v, sizeof v);
+      for (const unsigned char byte : bytes) {
+        hash = (hash ^ byte) * 1099511628211ull;
+      }
+    }
+  };
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 70; ++n) widths.push_back(n);
+  widths.push_back(130);
+  widths.push_back(384);
+  for (const std::size_t rows : {1u, 5u, 7u, 9u, 17u, 192u}) {
+    for (const std::size_t cols : {1u, 33u, 128u}) {
+      support::Rng rng(1000 * rows + cols);
+      const auto w = random_values(rows * cols, rng);
+      const auto bias = random_values(rows, rng);
+      const auto x = random_values(cols * 384, rng);
+      for (const bool with_bias : {true, false}) {
+        const double* b = with_bias ? bias.data() : nullptr;
+        std::vector<double> y(rows);
+        gemv(w.data(), b, x.data(), y.data(), rows, cols);
+        mix(y);
+        gemv_naive(w.data(), b, x.data(), y.data(), rows, cols);
+        mix(y);
+        for (const std::size_t n : widths) {
+          y.assign(rows * n, 0.0);
+          gemm(w.data(), b, x.data(), y.data(), rows, cols, n);
+          mix(y);
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(Kernels, RoundingRegimeIsPinned) {
+  // One literal for the separately rounded baseline, one shared by the two
+  // FMA tiers (AVX2 and AVX-512 run the same fused chains).
+  const std::string isa_name = isa();
+  const std::uint64_t expected = isa_name == "baseline"
+                                     ? 0x4ec21804c94c6c95ull
+                                     : 0x00fe46495fcbdd02ull;
+  const std::uint64_t actual = regime_hash();
+  EXPECT_EQ(actual, expected) << std::hex << actual << " at " << isa_name;
 }
 
 TEST(Kernels, ReportsKnownIsa) {
