@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "tensor/kernels_dispatch.h"
 
@@ -14,312 +16,80 @@
 namespace chainnet::tensor::kernels {
 
 namespace detail {
-std::vector<double>& tile_scratch() {
-  thread_local std::vector<double> scratch;
-  return scratch;
+
+template <class T>
+T* tile_scratch(std::size_t count) {
+  constexpr std::size_t kAlign = 64;
+  thread_local std::vector<T> buffer;
+  const std::size_t slack = kAlign / sizeof(T);
+  if (buffer.size() < count + slack) buffer.resize(count + slack);
+  void* p = buffer.data();
+  std::size_t space = buffer.size() * sizeof(T);
+  return static_cast<T*>(std::align(kAlign, count * sizeof(T), p, space));
 }
 
-std::vector<float>& tile_scratch_f32() {
-  thread_local std::vector<float> scratch;
-  return scratch;
-}
+template double* tile_scratch<double>(std::size_t);
+template float* tile_scratch<float>(std::size_t);
+
+// ---- Baseline table: portable x86-64 (SSE2 across columns, no FMA). ----
+// Multiply and add round separately; this TU is compiled without FMA, so
+// the compiler cannot contract them either.
+namespace baseline {
+
+template <class E>
+struct Scalar {
+  using T = E;
+  using V = E;
+  static V load(const T* p) { return *p; }
+  static void store(T* p, V v) { *p = v; }
+  static V bcast(T t) { return t; }
+  static V madd(V w, V x, V acc) { return acc + w * x; }
+};
+
+#if defined(__SSE2__)
+struct Xmm64 {
+  using T = double;
+  using V = __m128d;
+  static V load(const T* p) { return _mm_loadu_pd(p); }
+  static void store(T* p, V v) { _mm_storeu_pd(p, v); }
+  static V bcast(T t) { return _mm_set1_pd(t); }
+  static V madd(V w, V x, V acc) { return _mm_add_pd(acc, _mm_mul_pd(w, x)); }
+};
+
+struct Xmm32 {
+  using T = float;
+  using V = __m128;
+  static V load(const T* p) { return _mm_loadu_ps(p); }
+  static void store(T* p, V v) { _mm_storeu_ps(p, v); }
+  static V bcast(T t) { return _mm_set1_ps(t); }
+  static V madd(V w, V x, V acc) { return _mm_add_ps(acc, _mm_mul_ps(w, x)); }
+};
+#else
+// Other architectures: the same chains in scalar "registers" (narrower
+// tiles).
+using Xmm64 = Scalar<double>;
+using Xmm32 = Scalar<float>;
+#endif
+
+#include "tensor/kernels_tile.inc"
+
+// The portability reference, not the perf target: top tiles of four xmm
+// registers (8 doubles or 16 floats), one row per block.
+using Gemm64 = GemmLadder<GemmTile<Xmm64, 4, 1>, GemmTile<Xmm64, 2, 1>,
+                          GemmTile<Xmm64, 1, 1>,
+                          GemmTile<Scalar<double>, 1, 1>>;
+using Gemm32 = GemmLadder<GemmTile<Xmm32, 4, 1>, GemmTile<Xmm32, 2, 1>,
+                          GemmTile<Xmm32, 1, 1>,
+                          GemmTile<Scalar<float>, 1, 1>>;
+
+constinit const KernelTable table = make_table<Gemm64, Gemm32>("baseline");
+
+}  // namespace baseline
 }  // namespace detail
 
 namespace {
 
-constexpr std::size_t kRowBlock = 4;
-
-// ---- Baseline variant: portable x86-64 (SSE2 across columns, no FMA). ----
-namespace baseline {
-
-void gemv_naive(const double* w, const double* bias, const double* x,
-                double* y, std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = w + r * cols;
-    double acc = bias ? bias[r] : 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
-void gemv(const double* w, const double* bias, const double* x, double* y,
-          std::size_t rows, std::size_t cols) {
-  std::size_t r = 0;
-  for (; r + kRowBlock <= rows; r += kRowBlock) {
-    const double* row0 = w + (r + 0) * cols;
-    const double* row1 = w + (r + 1) * cols;
-    const double* row2 = w + (r + 2) * cols;
-    const double* row3 = w + (r + 3) * cols;
-    double acc0 = bias ? bias[r + 0] : 0.0;
-    double acc1 = bias ? bias[r + 1] : 0.0;
-    double acc2 = bias ? bias[r + 2] : 0.0;
-    double acc3 = bias ? bias[r + 3] : 0.0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double xc = x[c];
-      acc0 += row0[c] * xc;
-      acc1 += row1[c] * xc;
-      acc2 += row2[c] * xc;
-      acc3 += row3[c] * xc;
-    }
-    y[r + 0] = acc0;
-    y[r + 1] = acc1;
-    y[r + 2] = acc2;
-    y[r + 3] = acc3;
-  }
-  for (; r < rows; ++r) {
-    const double* row = w + r * cols;
-    double acc = bias ? bias[r] : 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
-/// One row x one column-tile of the GEMM: W columns of the output row are
-/// accumulated in registers (bias first, then ascending c — the exact
-/// per-column order of gemv), then stored once. Register accumulators
-/// break the store-to-load dependency a memory-resident `out[j] +=`
-/// inner loop would serialize on. SIMD runs lane-parallel across
-/// *columns*, so no column's own sum is ever reassociated. `x` points at
-/// the tile's first column (already offset by j) and `xstride` is the
-/// panel width — or the tile width when the caller packed the tile.
-#if defined(__SSE2__)
-template <std::size_t W>
-void gemm_row_tile(const double* row, double b, const double* x, double* out,
-                   std::size_t cols, std::size_t xstride, std::size_t j) {
-  static_assert(W % 2 == 0);
-  constexpr std::size_t kLanes = W / 2;
-  __m128d acc[kLanes];
-  const __m128d bv = _mm_set1_pd(b);
-  for (std::size_t k = 0; k < kLanes; ++k) acc[k] = bv;
-  const double* xc = x;
-  for (std::size_t c = 0; c < cols; ++c, xc += xstride) {
-    const __m128d wc = _mm_set1_pd(row[c]);
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      acc[k] = _mm_add_pd(acc[k],
-                          _mm_mul_pd(wc, _mm_loadu_pd(xc + 2 * k)));
-    }
-  }
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    _mm_storeu_pd(out + j + 2 * k, acc[k]);
-  }
-}
-#else
-template <std::size_t W>
-void gemm_row_tile(const double* row, double b, const double* x, double* out,
-                   std::size_t cols, std::size_t xstride, std::size_t j) {
-  double acc[W];
-  for (std::size_t k = 0; k < W; ++k) acc[k] = b;
-  const double* xc = x;
-  for (std::size_t c = 0; c < cols; ++c, xc += xstride) {
-    const double wc = row[c];
-    for (std::size_t k = 0; k < W; ++k) acc[k] += wc * xc[k];
-  }
-  for (std::size_t k = 0; k < W; ++k) out[j + k] = acc[k];
-}
-#endif
-
-/// Scalar single-column tile (odd remainders).
-void gemm_row_col(const double* row, double b, const double* x, double* out,
-                  std::size_t cols, std::size_t n, std::size_t j) {
-  double acc = b;
-  const double* xc = x + j;
-  for (std::size_t c = 0; c < cols; ++c, xc += n) acc += row[c] * *xc;
-  out[j] = acc;
-}
-
-void gemm(const double* w, const double* bias, const double* x, double* y,
-          std::size_t rows, std::size_t cols, std::size_t n) {
-  if (n == 1) {
-    gemv(w, bias, x, y, rows, cols);
-    return;
-  }
-  // Column tile is the OUTER loop: an 8-wide tile of x spans cols cache
-  // lines (~8 KB at cols=128) and stays L1-resident while every output row
-  // consumes it; iterating rows outermost instead would re-stream the whole
-  // x panel per row once it outgrows L1 (it does at useful batch widths).
-  //
-  // For panel inputs (n > 8) each tile is first gathered into a contiguous
-  // per-thread buffer: the natural tile access strides n doubles per c
-  // iteration, which touches a fresh page per iteration once n is a panel
-  // width and thrashes the TLB. Packing copies values without reordering
-  // any accumulation chain, so results are bit-identical.
-  std::size_t j = 0;
-  const bool pack_tiles = n > 8;
-  if (pack_tiles) detail::tile_scratch().resize(cols * 8);
-  for (; j + 8 <= n; j += 8) {
-    const double* xt = x + j;
-    std::size_t xstride = n;
-    if (pack_tiles) {
-      double* pack = detail::tile_scratch().data();
-      const double* src = x + j;
-      for (std::size_t c = 0; c < cols; ++c, src += n) {
-        for (std::size_t q = 0; q < 8; ++q) pack[c * 8 + q] = src[q];
-      }
-      xt = pack;
-      xstride = 8;
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      gemm_row_tile<8>(w + r * cols, bias ? bias[r] : 0.0, xt, y + r * n,
-                       cols, xstride, j);
-    }
-  }
-  if (j + 4 <= n) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      gemm_row_tile<4>(w + r * cols, bias ? bias[r] : 0.0, x + j, y + r * n,
-                       cols, n, j);
-    }
-    j += 4;
-  }
-  if (j + 2 <= n) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      gemm_row_tile<2>(w + r * cols, bias ? bias[r] : 0.0, x + j, y + r * n,
-                       cols, n, j);
-    }
-    j += 2;
-  }
-  if (j < n) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      gemm_row_col(w + r * cols, bias ? bias[r] : 0.0, x, y + r * n, cols, n,
-                   j);
-    }
-  }
-}
-
-// ---- f32 tier, baseline regime (separate multiply and add, no FMA). ----
-//
-// Plain scalar-array tiles: this TU is compiled without -mfma, so the
-// compiler cannot contract the mul+add pairs, and auto-vectorization only
-// runs lanes across the independent per-column accumulators — no column's
-// own chain is ever reassociated. The baseline f32 tier is the portability
-// reference, not the perf target; the AVX TUs carry the fast variants.
-
-void gemv_naive(const float* w, const float* bias, const float* x, float* y,
-                std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = w + r * cols;
-    float acc = bias ? bias[r] : 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
-void gemv(const float* w, const float* bias, const float* x, float* y,
-          std::size_t rows, std::size_t cols) {
-  std::size_t r = 0;
-  for (; r + kRowBlock <= rows; r += kRowBlock) {
-    const float* row0 = w + (r + 0) * cols;
-    const float* row1 = w + (r + 1) * cols;
-    const float* row2 = w + (r + 2) * cols;
-    const float* row3 = w + (r + 3) * cols;
-    float acc0 = bias ? bias[r + 0] : 0.0f;
-    float acc1 = bias ? bias[r + 1] : 0.0f;
-    float acc2 = bias ? bias[r + 2] : 0.0f;
-    float acc3 = bias ? bias[r + 3] : 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const float xc = x[c];
-      acc0 += row0[c] * xc;
-      acc1 += row1[c] * xc;
-      acc2 += row2[c] * xc;
-      acc3 += row3[c] * xc;
-    }
-    y[r + 0] = acc0;
-    y[r + 1] = acc1;
-    y[r + 2] = acc2;
-    y[r + 3] = acc3;
-  }
-  for (; r < rows; ++r) {
-    const float* row = w + r * cols;
-    float acc = bias ? bias[r] : 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
-/// One row x one W-column tile, float flavor of gemm_row_tile: register
-/// accumulators seeded from the bias, products added in ascending c.
-template <std::size_t W>
-void gemm_row_tile_f32(const float* row, float b, const float* x, float* out,
-                       std::size_t cols, std::size_t xstride, std::size_t j) {
-  float acc[W];
-  for (std::size_t k = 0; k < W; ++k) acc[k] = b;
-  const float* xc = x;
-  for (std::size_t c = 0; c < cols; ++c, xc += xstride) {
-    const float wc = row[c];
-    for (std::size_t k = 0; k < W; ++k) acc[k] += wc * xc[k];
-  }
-  for (std::size_t k = 0; k < W; ++k) out[j + k] = acc[k];
-}
-
-void gemm(const float* w, const float* bias, const float* x, float* y,
-          std::size_t rows, std::size_t cols, std::size_t n) {
-  if (n == 1) {
-    gemv(w, bias, x, y, rows, cols);
-    return;
-  }
-  // Same ladder shape as the double gemm, one lane-width up (top tile 16
-  // columns), including the panel-tile packing once n outgrows the tile.
-  std::size_t j = 0;
-  const bool pack_tiles = n > 16;
-  if (pack_tiles) detail::tile_scratch_f32().resize(cols * 16);
-  for (; j + 16 <= n; j += 16) {
-    const float* xt = x + j;
-    std::size_t xstride = n;
-    if (pack_tiles) {
-      float* pack = detail::tile_scratch_f32().data();
-      const float* src = x + j;
-      for (std::size_t c = 0; c < cols; ++c, src += n) {
-        for (std::size_t q = 0; q < 16; ++q) pack[c * 16 + q] = src[q];
-      }
-      xt = pack;
-      xstride = 16;
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      gemm_row_tile_f32<16>(w + r * cols, bias ? bias[r] : 0.0f, xt,
-                            y + r * n, cols, xstride, j);
-    }
-  }
-  if (j + 8 <= n) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      gemm_row_tile_f32<8>(w + r * cols, bias ? bias[r] : 0.0f, x + j,
-                           y + r * n, cols, n, j);
-    }
-    j += 8;
-  }
-  if (j + 4 <= n) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      gemm_row_tile_f32<4>(w + r * cols, bias ? bias[r] : 0.0f, x + j,
-                           y + r * n, cols, n, j);
-    }
-    j += 4;
-  }
-  for (; j < n; ++j) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* row = w + r * cols;
-      float acc = bias ? bias[r] : 0.0f;
-      const float* xc = x + j;
-      for (std::size_t c = 0; c < cols; ++c, xc += n) acc += row[c] * *xc;
-      y[r * n + j] = acc;
-    }
-  }
-}
-
-}  // namespace baseline
-
-const detail::KernelTable kBaseline{
-    baseline::gemv,       baseline::gemv_naive, baseline::gemm,
-    baseline::gemv,       baseline::gemv_naive, baseline::gemm,
-    "baseline"};
-
 #if defined(__x86_64__) || defined(_M_X64)
-const detail::KernelTable kAvx2{
-    detail::avx2::gemv, detail::avx2::gemv_naive, detail::avx2::gemm,
-    detail::avx2::gemv, detail::avx2::gemv_naive, detail::avx2::gemm,
-    "avx2"};
-const detail::KernelTable kAvx512{
-    detail::avx512::gemv, detail::avx512::gemv_naive, detail::avx512::gemm,
-    detail::avx512::gemv, detail::avx512::gemv_naive, detail::avx512::gemm,
-    "avx512"};
-
 const detail::KernelTable& resolve() {
   const char* forced = std::getenv("CHAINNET_KERNEL_ISA");
   const bool fma = __builtin_cpu_supports("fma");
@@ -328,20 +98,22 @@ const detail::KernelTable& resolve() {
                       __builtin_cpu_supports("avx512dq");
   if (forced) {
     validate_isa_name(forced);  // typo -> loud error, not auto-detection
-    if (std::strcmp(forced, "baseline") == 0) return kBaseline;
-    if (std::strcmp(forced, "avx2") == 0 && avx2) return kAvx2;
-    if (std::strcmp(forced, "avx512") == 0 && avx512) return kAvx512;
+    if (std::strcmp(forced, "baseline") == 0) return detail::baseline::table;
+    if (std::strcmp(forced, "avx2") == 0 && avx2) return detail::avx2::table;
+    if (std::strcmp(forced, "avx512") == 0 && avx512) {
+      return detail::avx512::table;
+    }
     // Known tier the host cannot run: fall through to auto-detection.
   }
-  if (avx512) return kAvx512;
-  if (avx2) return kAvx2;
-  return kBaseline;
+  if (avx512) return detail::avx512::table;
+  if (avx2) return detail::avx2::table;
+  return detail::baseline::table;
 }
 #else
 const detail::KernelTable& resolve() {
   const char* forced = std::getenv("CHAINNET_KERNEL_ISA");
   if (forced) validate_isa_name(forced);
-  return kBaseline;
+  return detail::baseline::table;
 }
 #endif
 
@@ -354,32 +126,32 @@ const detail::KernelTable& active() {
 
 void gemv(const double* w, const double* bias, const double* x, double* y,
           std::size_t rows, std::size_t cols) {
-  active().gemv(w, bias, x, y, rows, cols);
+  active().f64.gemv(w, bias, x, y, rows, cols);
 }
 
 void gemv_naive(const double* w, const double* bias, const double* x,
                 double* y, std::size_t rows, std::size_t cols) {
-  active().gemv_naive(w, bias, x, y, rows, cols);
+  active().f64.gemv_naive(w, bias, x, y, rows, cols);
 }
 
 void gemm(const double* w, const double* bias, const double* x, double* y,
           std::size_t rows, std::size_t cols, std::size_t n) {
-  active().gemm(w, bias, x, y, rows, cols, n);
+  active().f64.gemm(w, bias, x, y, rows, cols, n);
 }
 
 void gemv(const float* w, const float* bias, const float* x, float* y,
           std::size_t rows, std::size_t cols) {
-  active().gemv_f32(w, bias, x, y, rows, cols);
+  active().f32.gemv(w, bias, x, y, rows, cols);
 }
 
 void gemv_naive(const float* w, const float* bias, const float* x, float* y,
                 std::size_t rows, std::size_t cols) {
-  active().gemv_naive_f32(w, bias, x, y, rows, cols);
+  active().f32.gemv_naive(w, bias, x, y, rows, cols);
 }
 
 void gemm(const float* w, const float* bias, const float* x, float* y,
           std::size_t rows, std::size_t cols, std::size_t n) {
-  active().gemm_f32(w, bias, x, y, rows, cols, n);
+  active().f32.gemm(w, bias, x, y, rows, cols, n);
 }
 
 const char* isa() { return active().isa; }

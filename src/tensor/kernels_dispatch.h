@@ -1,69 +1,44 @@
-// Internal: per-ISA kernel variant tables (see kernels.h for the dispatch
-// contract). Each variant is a self-consistent rounding regime — the
-// baseline separates multiply and add, the FMA tiers fuse them everywhere —
-// so whichever table is active, gemv / gemv_naive / gemm stay bit-for-bit
-// interchangeable per output element.
+// Internal: per-ISA kernel tables (see kernels.h for the dispatch
+// contract). Each table is one rounding regime — the baseline rounds
+// multiply and add separately, the FMA tiers fuse them everywhere — so
+// whichever table is active, gemv / gemv_naive / gemm stay bit-for-bit
+// interchangeable per output element. Every table is built from the one
+// tile template in kernels_tile.inc.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace chainnet::tensor::kernels::detail {
 
-/// Per-thread scratch for gemm column-tile packing: panel-strided x loads
-/// touch one page per c iteration, so each tile is gathered once into this
-/// contiguous buffer and the hot loop runs on sequential loads. Grow-only.
-std::vector<double>& tile_scratch();
+/// Per-thread, grow-only scratch of at least `count` elements for gemm
+/// column-tile packing, aligned to 64 bytes so no packed register load
+/// splits a cache line. One buffer per element type: a thread may
+/// interleave f64 and f32 gemms (the rank-fidelity gate does).
+template <class T>
+T* tile_scratch(std::size_t count);
 
-/// f32-tier counterpart of tile_scratch() (separate buffer: a thread may
-/// interleave f64 and f32 gemms, e.g. the rank-fidelity gate).
-std::vector<float>& tile_scratch_f32();
+template <class T>
+struct Kernels {
+  void (*gemv)(const T*, const T*, const T*, T*, std::size_t, std::size_t);
+  void (*gemv_naive)(const T*, const T*, const T*, T*, std::size_t,
+                     std::size_t);
+  void (*gemm)(const T*, const T*, const T*, T*, std::size_t, std::size_t,
+               std::size_t);
+};
 
 struct KernelTable {
-  void (*gemv)(const double*, const double*, const double*, double*,
-               std::size_t, std::size_t);
-  void (*gemv_naive)(const double*, const double*, const double*, double*,
-                     std::size_t, std::size_t);
-  void (*gemm)(const double*, const double*, const double*, double*,
-               std::size_t, std::size_t, std::size_t);
-  void (*gemv_f32)(const float*, const float*, const float*, float*,
-                   std::size_t, std::size_t);
-  void (*gemv_naive_f32)(const float*, const float*, const float*, float*,
-                         std::size_t, std::size_t);
-  void (*gemm_f32)(const float*, const float*, const float*, float*,
-                   std::size_t, std::size_t, std::size_t);
+  Kernels<double> f64;
+  Kernels<float> f32;
   const char* isa;
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
 namespace avx2 {
-void gemv(const double* w, const double* bias, const double* x, double* y,
-          std::size_t rows, std::size_t cols);
-void gemv_naive(const double* w, const double* bias, const double* x,
-                double* y, std::size_t rows, std::size_t cols);
-void gemm(const double* w, const double* bias, const double* x, double* y,
-          std::size_t rows, std::size_t cols, std::size_t n);
-void gemv(const float* w, const float* bias, const float* x, float* y,
-          std::size_t rows, std::size_t cols);
-void gemv_naive(const float* w, const float* bias, const float* x, float* y,
-                std::size_t rows, std::size_t cols);
-void gemm(const float* w, const float* bias, const float* x, float* y,
-          std::size_t rows, std::size_t cols, std::size_t n);
+extern const KernelTable table;
 }  // namespace avx2
 
 namespace avx512 {
-void gemv(const double* w, const double* bias, const double* x, double* y,
-          std::size_t rows, std::size_t cols);
-void gemv_naive(const double* w, const double* bias, const double* x,
-                double* y, std::size_t rows, std::size_t cols);
-void gemm(const double* w, const double* bias, const double* x, double* y,
-          std::size_t rows, std::size_t cols, std::size_t n);
-void gemv(const float* w, const float* bias, const float* x, float* y,
-          std::size_t rows, std::size_t cols);
-void gemv_naive(const float* w, const float* bias, const float* x, float* y,
-                std::size_t rows, std::size_t cols);
-void gemm(const float* w, const float* bias, const float* x, float* y,
-          std::size_t rows, std::size_t cols, std::size_t n);
+extern const KernelTable table;
 }  // namespace avx512
 #endif
 

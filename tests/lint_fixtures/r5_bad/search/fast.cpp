@@ -1,7 +1,7 @@
-// R5 bad: a non-tensor file pulling in the SIMD bodies and calling an
-// internal tile kernel, bypassing the fixed accumulation-order dispatch.
-#include "tensor/kernels_simd.inc"
+// R5 bad: a non-tensor file pulling in the tile template and running a
+// tile directly, bypassing the fixed accumulation-order dispatch.
+#include "tensor/kernels_tile.inc"
 
 void run(const double* w, const double* x, double* y) {
-  gemm_row_tile<4>(w, 0.0, x, y, 8, 4, 4);
+  GemmTile<Xmm64, 4, 1>::run(w, nullptr, x, 8, y, 8, 4, 4);
 }

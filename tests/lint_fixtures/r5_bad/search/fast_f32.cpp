@@ -1,7 +1,7 @@
-// R5 bad: the reduced-precision SIMD bodies and the f32 tile scratch are
-// just as private to src/tensor/ as their f64 counterparts.
-#include "tensor/kernels_simd_f32.inc"
+// R5 bad: the FMA register traits and the per-dtype tile scratch (here
+// its f32 buffer) are just as private to src/tensor/ as the tile template.
+#include "tensor/kernels_fma.inc"
 
 void run_f32(const float* w, const float* x, float* y) {
-  tile_scratch_f32().resize(64);
+  tile_scratch<float>(64);
 }

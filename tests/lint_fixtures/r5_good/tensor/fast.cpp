@@ -1,7 +1,7 @@
 // R5 good: this file lives under a tensor/ directory, so it may include
-// the SIMD variant bodies and call the internal tile kernels.
-#include "tensor/kernels_simd.inc"
+// the tile template and run a tile directly.
+#include "tensor/kernels_tile.inc"
 
 void run(const double* w, const double* x, double* y) {
-  gemm_row_tile<4>(w, 0.0, x, y, 8, 4, 4);
+  GemmTile<Xmm64, 4, 1>::run(w, nullptr, x, 8, y, 8, 4, 4);
 }

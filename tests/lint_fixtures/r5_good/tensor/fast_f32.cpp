@@ -1,7 +1,7 @@
-// R5 good: tensor/ files may include the f32 SIMD variant bodies and use
-// the f32 tile scratch, same as the f64 tier.
-#include "tensor/kernels_simd_f32.inc"
+// R5 good: tensor/ files may include the FMA register traits and use the
+// per-dtype tile scratch.
+#include "tensor/kernels_fma.inc"
 
 void run_f32(const float* w, const float* x, float* y) {
-  tile_scratch_f32().resize(64);
+  tile_scratch<float>(64);
 }

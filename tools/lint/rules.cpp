@@ -23,8 +23,7 @@ const std::set<std::string>& manual_lock_methods() {
 
 const std::set<std::string>& tensor_private_symbols() {
   static const std::set<std::string> kSymbols = {
-      "gemv_blocked", "gemm_row_tile", "gemm_row_col", "tile_scratch",
-      "tile_scratch_f32"};
+      "GemmTile", "GemmLadder", "KernelTable", "tile_scratch"};
   return kSymbols;
 }
 
@@ -278,8 +277,8 @@ void Linter::check_file(const FileInfo& info,
   // R5: private-kernel includes.
   if (!info.in_tensor) {
     for (const Include& inc : info.lex.includes) {
-      if (ends_with(inc.target, "kernels_simd.inc") ||
-          ends_with(inc.target, "kernels_simd_f32.inc") ||
+      if (ends_with(inc.target, "kernels_tile.inc") ||
+          ends_with(inc.target, "kernels_fma.inc") ||
           ends_with(inc.target, "kernels_dispatch.h")) {
         out.push_back({path, inc.line, "R5-kernel-routing",
                        "'" + inc.target +

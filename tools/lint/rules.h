@@ -12,9 +12,9 @@
 //                        // LINT:counters
 //   R4-tape-frame        Tape::Frame must bind to a named local (a temporary
 //                        releases at the semicolon); new Tape is forbidden
-//   R5-kernel-routing    internal kernel symbols and kernels_simd.inc /
-//                        kernels_simd_f32.inc / kernels_dispatch.h are
-//                        private to src/tensor/
+//   R5-kernel-routing    internal kernel symbols and kernels_tile.inc /
+//                        kernels_fma.inc / kernels_dispatch.h are private
+//                        to src/tensor/
 //   R6-allocation        naked new / malloc-family calls are forbidden
 //                        outside files tagged // LINT:allocator (the arenas)
 //   R7-plan-discipline   the interpreted Algorithm-2 entry points
