@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "tensor/kernels.h"
 
@@ -101,28 +102,76 @@ void raw_affine_naive(std::span<const double> w, std::span<const double> b,
                       out.data(), rows, cols);
 }
 
-inline double sigmoid_value(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+template <class T>
+T sigmoid_value(T x) {
+  return T(1) / (T(1) + std::exp(-x));
+}
 
-inline float sigmoid_value(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-/// Converts a double parameter buffer to the f32 tier in place of `dst`
-/// (bf16-rounded when requested). Plain narrowing cast for kF32: the
-/// round-to-nearest double->float conversion is the tier's pack step.
-void convert_to_f32(std::span<const double> src, std::vector<float>& dst,
-                    DType storage) {
-  dst.resize(src.size());
-  if (storage == DType::kBf16) {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      dst[i] = bf16_round(static_cast<float>(src[i]));
-    }
+/// The T-typed one of a scratch buffer pair (f64 tier, f32 tier).
+template <class T>
+std::vector<T>& pick(std::vector<double>& f64, std::vector<float>& f32) {
+  if constexpr (std::is_same_v<T, double>) {
+    return f64;
   } else {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      dst[i] = static_cast<float>(src[i]);
-    }
+    return f32;
   }
 }
 
+template <class T>
+void activate(std::span<T> x, Activation act) {
+  switch (act) {
+    case Activation::kNone:
+      return;
+    case Activation::kRelu:
+      for (auto& v : x) v = v > T(0) ? v : T(0);
+      return;
+    case Activation::kTanh:
+      for (auto& v : x) v = std::tanh(v);
+      return;
+    case Activation::kSigmoid:
+      for (auto& v : x) v = sigmoid_value(v);
+      return;
+    case Activation::kLeakyRelu:
+      for (auto& v : x) v = v > T(0) ? v : T(0.01) * v;
+      return;
+    case Activation::kSoftplus:
+      for (auto& v : x) {
+        v = std::max(v, T(0)) + std::log1p(std::exp(-std::abs(v)));
+      }
+      return;
+  }
+  throw std::logic_error("apply_activation_values: unknown activation");
+}
+
 }  // namespace
+
+template <class T>
+const T* F32Copy::view(std::span<const double> src, std::uint64_t version,
+                       DType storage) {
+  if constexpr (std::is_same_v<T, double>) {
+    return src.data();
+  } else {
+    // Plain narrowing cast for kF32: the round-to-nearest double->float
+    // conversion is the tier's pack step.
+    const bool bf16 = storage == DType::kBf16;
+    if (!ready_ || version_ != version || bf16_ != bf16) {
+      values_.resize(src.size());
+      for (std::size_t i = 0; i < src.size(); ++i) {
+        const auto v = static_cast<float>(src[i]);
+        values_[i] = bf16 ? bf16_round(v) : v;
+      }
+      version_ = version;
+      bf16_ = bf16;
+      ready_ = true;
+    }
+    return values_.data();
+  }
+}
+
+template const double* F32Copy::view<double>(std::span<const double>,
+                                             std::uint64_t, DType);
+template const float* F32Copy::view<float>(std::span<const double>,
+                                           std::uint64_t, DType);
 
 void Linear::forward_values(std::span<const double> x,
                             std::span<double> out) const {
@@ -132,79 +181,24 @@ void Linear::forward_values(std::span<const double> x,
   raw_affine(w_.value(), b_.value(), x, out, out_, in_);
 }
 
-void Linear::forward_values_batch(const double* x, double* out,
-                                  std::size_t n) const {
-  kernels::gemm(w_.value().data(), b_.value().data(), x, out, out_, in_, n);
-}
-
-void Linear::ensure_f32(DType storage) const {
-  const std::uint64_t wv = w_.node().version;
-  const std::uint64_t bv = b_.node().version;
-  if (f32_ready_ && f32_storage_ == storage && f32_versions_[0] == wv &&
-      f32_versions_[1] == bv) {
-    return;
-  }
-  convert_to_f32(w_.value(), w_f32_, storage);
-  convert_to_f32(b_.value(), b_f32_, storage);
-  f32_versions_ = {wv, bv};
-  f32_storage_ = storage;
-  f32_ready_ = true;
-}
-
-void Linear::forward_values_batch(const float* x, float* out, std::size_t n,
+template <class T>
+void Linear::forward_values_batch(const T* x, T* out, std::size_t n,
                                   DType storage) const {
-  ensure_f32(storage);
-  kernels::gemm(w_f32_.data(), b_f32_.data(), x, out, out_, in_, n);
+  kernels::gemm(w_f32_.view<T>(w_, storage), b_f32_.view<T>(b_, storage), x,
+                out, out_, in_, n);
 }
+
+template void Linear::forward_values_batch<double>(const double*, double*,
+                                                   std::size_t, DType) const;
+template void Linear::forward_values_batch<float>(const float*, float*,
+                                                  std::size_t, DType) const;
 
 void apply_activation_values(std::span<double> x, Activation act) {
-  switch (act) {
-    case Activation::kNone:
-      return;
-    case Activation::kRelu:
-      for (auto& v : x) v = v > 0.0 ? v : 0.0;
-      return;
-    case Activation::kTanh:
-      for (auto& v : x) v = std::tanh(v);
-      return;
-    case Activation::kSigmoid:
-      for (auto& v : x) v = sigmoid_value(v);
-      return;
-    case Activation::kLeakyRelu:
-      for (auto& v : x) v = v > 0.0 ? v : 0.01 * v;
-      return;
-    case Activation::kSoftplus:
-      for (auto& v : x) {
-        v = std::max(v, 0.0) + std::log1p(std::exp(-std::abs(v)));
-      }
-      return;
-  }
-  throw std::logic_error("apply_activation_values: unknown activation");
+  activate(x, act);
 }
 
 void apply_activation_values(std::span<float> x, Activation act) {
-  switch (act) {
-    case Activation::kNone:
-      return;
-    case Activation::kRelu:
-      for (auto& v : x) v = v > 0.0f ? v : 0.0f;
-      return;
-    case Activation::kTanh:
-      for (auto& v : x) v = std::tanh(v);
-      return;
-    case Activation::kSigmoid:
-      for (auto& v : x) v = sigmoid_value(v);
-      return;
-    case Activation::kLeakyRelu:
-      for (auto& v : x) v = v > 0.0f ? v : 0.01f * v;
-      return;
-    case Activation::kSoftplus:
-      for (auto& v : x) {
-        v = std::max(v, 0.0f) + std::log1p(std::exp(-std::abs(v)));
-      }
-      return;
-  }
-  throw std::logic_error("apply_activation_values: unknown activation");
+  activate(x, act);
 }
 
 // ------------------------------------------------------------------ Mlp
@@ -271,30 +265,27 @@ void Mlp::forward_values(std::span<const double> x, std::span<double> out,
   std::copy(s.a.begin(), s.a.end(), out.begin());
 }
 
-void Mlp::forward_values_batch(const double* x, double* out, std::size_t n,
-                               Scratch& s) const {
-  s.a.assign(x, x + layers_.front()->in_features() * n);
+template <class T>
+void Mlp::forward_values_batch(const T* x, T* out, std::size_t n, Scratch& s,
+                               DType storage) const {
+  std::vector<T>& a = pick<T>(s.a, s.a_f);
+  std::vector<T>& b = pick<T>(s.b, s.b_f);
+  a.assign(x, x + layers_.front()->in_features() * n);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.b.resize(layers_[l]->out_features() * n);
-    layers_[l]->forward_values_batch(s.a.data(), s.b.data(), n);
-    apply_activation_values(s.b, l + 1 == layers_.size() ? output_ : hidden_);
-    s.a.swap(s.b);
+    b.resize(layers_[l]->out_features() * n);
+    layers_[l]->forward_values_batch(a.data(), b.data(), n, storage);
+    activate(std::span<T>(b), l + 1 == layers_.size() ? output_ : hidden_);
+    a.swap(b);
   }
-  std::copy(s.a.begin(), s.a.end(), out);
+  std::copy(a.begin(), a.end(), out);
 }
 
-void Mlp::forward_values_batch(const float* x, float* out, std::size_t n,
-                               Scratch& s, DType storage) const {
-  s.a_f.assign(x, x + layers_.front()->in_features() * n);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.b_f.resize(layers_[l]->out_features() * n);
-    layers_[l]->forward_values_batch(s.a_f.data(), s.b_f.data(), n, storage);
-    apply_activation_values(std::span<float>(s.b_f),
-                            l + 1 == layers_.size() ? output_ : hidden_);
-    s.a_f.swap(s.b_f);
-  }
-  std::copy(s.a_f.begin(), s.a_f.end(), out);
-}
+template void Mlp::forward_values_batch<double>(const double*, double*,
+                                                std::size_t, Scratch&,
+                                                DType) const;
+template void Mlp::forward_values_batch<float>(const float*, float*,
+                                               std::size_t, Scratch&,
+                                               DType) const;
 
 // -------------------------------------------------------------- GruCell
 
@@ -336,7 +327,7 @@ Var GruCell::forward(const Var& h, const Var& x) const {
 void GruCell::ensure_packed() const {
   const Var* params[12] = {&w_ir_, &w_iz_, &w_in_, &w_hr_, &w_hz_, &w_hn_,
                            &b_ir_, &b_iz_, &b_in_, &b_hr_, &b_hz_, &b_hn_};
-  if (packed_) {
+  if (pack_generation_ != 0) {
     bool stale = false;
     for (std::size_t i = 0; i < 12; ++i) {
       stale |= params[i]->node().version != pack_versions_[i];
@@ -361,31 +352,7 @@ void GruCell::ensure_packed() const {
   for (std::size_t i = 0; i < 12; ++i) {
     pack_versions_[i] = params[i]->node().version;
   }
-  packed_ = true;
-}
-
-void GruCell::ensure_packed_f32(DType storage) const {
-  const Var* params[12] = {&w_ir_, &w_iz_, &w_in_, &w_hr_, &w_hz_, &w_hn_,
-                           &b_ir_, &b_iz_, &b_in_, &b_hr_, &b_hz_, &b_hn_};
-  if (packed_f32_ && f32_storage_ == storage) {
-    bool stale = false;
-    for (std::size_t i = 0; i < 12; ++i) {
-      stale |= params[i]->node().version != pack_versions_f32_[i];
-    }
-    if (!stale) return;
-  }
-  // Build (or refresh) the f64 packs first, then convert: one conversion
-  // per weight regardless of which tier ran first.
-  ensure_packed();
-  convert_to_f32(wi_pack_, wi_pack_f32_, storage);
-  convert_to_f32(wh_pack_, wh_pack_f32_, storage);
-  convert_to_f32(bi_pack_, bi_pack_f32_, storage);
-  convert_to_f32(bh_pack_, bh_pack_f32_, storage);
-  for (std::size_t i = 0; i < 12; ++i) {
-    pack_versions_f32_[i] = params[i]->node().version;
-  }
-  f32_storage_ = storage;
-  packed_f32_ = true;
+  ++pack_generation_;
 }
 
 void GruCell::forward_values_reference(std::span<const double> h,
@@ -419,62 +386,47 @@ void GruCell::forward_values_reference(std::span<const double> h,
   }
 }
 
-void GruCell::forward_values_batch(const double* h, const double* x,
-                                   double* h_out, std::size_t n,
-                                   Scratch& s) const {
+template <class T>
+void GruCell::forward_values_batch(const T* h, const T* x, T* h_out,
+                                   std::size_t n, Scratch& s,
+                                   DType storage) const {
   ensure_packed();
   const std::size_t H = hidden_;
-  s.gi.resize(3 * H * n);
-  s.gh.resize(3 * H * n);
-  kernels::gemm(wi_pack_.data(), bi_pack_.data(), x, s.gi.data(), 3 * H,
+  const std::uint64_t gen = pack_generation_;
+  std::vector<T>& gi = pick<T>(s.gi, s.gi_f);
+  std::vector<T>& gh = pick<T>(s.gh, s.gh_f);
+  gi.resize(3 * H * n);
+  gh.resize(3 * H * n);
+  kernels::gemm(wi_f32_.view<T>(wi_pack_, gen, storage),
+                bi_f32_.view<T>(bi_pack_, gen, storage), x, gi.data(), 3 * H,
                 input_, n);
-  kernels::gemm(wh_pack_.data(), bh_pack_.data(), h, s.gh.data(), 3 * H,
+  kernels::gemm(wh_f32_.view<T>(wh_pack_, gen, storage),
+                bh_f32_.view<T>(bh_pack_, gen, storage), h, gh.data(), 3 * H,
                 hidden_, n);
   for (std::size_t i = 0; i < H; ++i) {
-    const double* gir = s.gi.data() + i * n;
-    const double* giz = s.gi.data() + (H + i) * n;
-    const double* gin = s.gi.data() + (2 * H + i) * n;
-    const double* ghr = s.gh.data() + i * n;
-    const double* ghz = s.gh.data() + (H + i) * n;
-    const double* ghn = s.gh.data() + (2 * H + i) * n;
-    const double* hrow = h + i * n;
-    double* out = h_out + i * n;
+    const T* gir = gi.data() + i * n;
+    const T* giz = gi.data() + (H + i) * n;
+    const T* gin = gi.data() + (2 * H + i) * n;
+    const T* ghr = gh.data() + i * n;
+    const T* ghz = gh.data() + (H + i) * n;
+    const T* ghn = gh.data() + (2 * H + i) * n;
+    const T* hrow = h + i * n;
+    T* out = h_out + i * n;
     for (std::size_t j = 0; j < n; ++j) {
-      const double r = sigmoid_value(gir[j] + ghr[j]);
-      const double z = sigmoid_value(giz[j] + ghz[j]);
-      const double nn = std::tanh(gin[j] + r * ghn[j]);
-      out[j] = (1.0 - z) * nn + z * hrow[j];
+      const T r = sigmoid_value(gir[j] + ghr[j]);
+      const T z = sigmoid_value(giz[j] + ghz[j]);
+      const T nn = std::tanh(gin[j] + r * ghn[j]);
+      out[j] = (T(1) - z) * nn + z * hrow[j];
     }
   }
 }
 
-void GruCell::forward_values_batch(const float* h, const float* x,
-                                   float* h_out, std::size_t n, Scratch& s,
-                                   DType storage) const {
-  ensure_packed_f32(storage);
-  const std::size_t H = hidden_;
-  s.gi_f.resize(3 * H * n);
-  s.gh_f.resize(3 * H * n);
-  kernels::gemm(wi_pack_f32_.data(), bi_pack_f32_.data(), x, s.gi_f.data(),
-                3 * H, input_, n);
-  kernels::gemm(wh_pack_f32_.data(), bh_pack_f32_.data(), h, s.gh_f.data(),
-                3 * H, hidden_, n);
-  for (std::size_t i = 0; i < H; ++i) {
-    const float* gir = s.gi_f.data() + i * n;
-    const float* giz = s.gi_f.data() + (H + i) * n;
-    const float* gin = s.gi_f.data() + (2 * H + i) * n;
-    const float* ghr = s.gh_f.data() + i * n;
-    const float* ghz = s.gh_f.data() + (H + i) * n;
-    const float* ghn = s.gh_f.data() + (2 * H + i) * n;
-    const float* hrow = h + i * n;
-    float* out = h_out + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float r = sigmoid_value(gir[j] + ghr[j]);
-      const float z = sigmoid_value(giz[j] + ghz[j]);
-      const float nn = std::tanh(gin[j] + r * ghn[j]);
-      out[j] = (1.0f - z) * nn + z * hrow[j];
-    }
-  }
-}
+template void GruCell::forward_values_batch<double>(const double*,
+                                                    const double*, double*,
+                                                    std::size_t, Scratch&,
+                                                    DType) const;
+template void GruCell::forward_values_batch<float>(const float*, const float*,
+                                                   float*, std::size_t,
+                                                   Scratch&, DType) const;
 
 }  // namespace chainnet::tensor

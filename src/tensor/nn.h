@@ -61,6 +61,30 @@ class Module {
 void glorot_uniform(std::span<double> weights, std::size_t fan_in,
                     std::size_t fan_out, chainnet::support::Rng& rng);
 
+/// A double buffer as inference tier T reads it: for double, the buffer
+/// itself; for float, a converted copy (bf16-rounded when `storage` is
+/// kBf16), re-converted only when the source's version or the storage
+/// mode moves. The one conversion point of the reduced-precision tier:
+/// layer weights, stacked GRU packs and attention parameters all go
+/// through it.
+class F32Copy {
+ public:
+  template <class T>
+  const T* view(std::span<const double> src, std::uint64_t version,
+                DType storage);
+  /// A parameter's values, versioned by its tape node.
+  template <class T>
+  const T* view(const Var& v, DType storage) {
+    return view<T>(v.value(), v.node().version, storage);
+  }
+
+ private:
+  std::vector<float> values_;
+  std::uint64_t version_ = 0;
+  bool bf16_ = false;
+  bool ready_ = false;
+};
+
 /// y = W x + b, with W: [out, in].
 class Linear : public Module {
  public:
@@ -74,31 +98,22 @@ class Linear : public Module {
                       std::span<double> out) const;
 
   /// Batched inference over n batch columns: `x` is a row-major
-  /// [in_features x n] panel, `out` a [out_features x n] panel. Column j is
-  /// bit-identical to forward_values on column j (see kernels.h).
-  void forward_values_batch(const double* x, double* out,
-                            std::size_t n) const;
-
-  /// Reduced-precision tier: the batched contract on float panels, using
-  /// a lazily cached f32 copy of W/b (bf16-rounded when `storage` is kBf16
-  /// — weights only; activations stay plain f32). The cache re-converts
-  /// when a parameter's node version moves, like GruCell's packed blocks.
-  void forward_values_batch(const float* x, float* out, std::size_t n,
+  /// [in_features x n] panel, `out` a [out_features x n] panel. For
+  /// T = double, column j is bit-identical to forward_values on column j
+  /// (see kernels.h) and `storage` is ignored. T = float is the reduced-
+  /// precision tier: W/b through F32Copy for `storage` (kBf16 rounds the
+  /// weights only; activations stay plain f32) and the f32 kernels.
+  template <class T>
+  void forward_values_batch(const T* x, T* out, std::size_t n,
                             DType storage) const;
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
 
  private:
-  /// Re-converts the f32 weight cache when stale (version or storage mode).
-  void ensure_f32(DType storage) const;
-
   std::size_t in_, out_;
   Var w_, b_;
-  mutable std::vector<float> w_f32_, b_f32_;
-  mutable std::array<std::uint64_t, 2> f32_versions_{};
-  mutable DType f32_storage_ = DType::kF32;
-  mutable bool f32_ready_ = false;
+  mutable F32Copy w_f32_, b_f32_;
 };
 
 /// Supported hidden/output nonlinearities for MLP.
@@ -133,13 +148,10 @@ class Mlp : public Module {
 
   /// Batched inference over n batch columns: `x` is a row-major
   /// [input x n] panel, `out` a [output x n] panel. Column j is
-  /// bit-identical to forward_values on column j.
-  void forward_values_batch(const double* x, double* out, std::size_t n,
-                            Scratch& scratch) const;
-
-  /// Reduced-precision tier (see Linear): float panels through the f32
-  /// kernel table and the per-layer f32 weight caches.
-  void forward_values_batch(const float* x, float* out, std::size_t n,
+  /// bit-identical to forward_values on column j for T = double; T = float
+  /// is the reduced-precision tier (see Linear).
+  template <class T>
+  void forward_values_batch(const T* x, T* out, std::size_t n,
                             Scratch& scratch, DType storage) const;
 
  private:
@@ -186,19 +198,14 @@ class GruCell : public Module {
 
   /// Batched step over n batch columns, dispatching the packed
   /// [3Hxin]/[3HxH] weight blocks through the GEMM. `h` and `h_out` are
-  /// row-major [hidden x n] panels, `x` a [input x n] panel; column j is
-  /// bit-identical to forward_values_reference on column j (pinned by
-  /// plan_test). `h_out` must not alias `h` or `x`.
-  void forward_values_batch(const double* h, const double* x, double* h_out,
-                            std::size_t n, Scratch& scratch) const;
-
-  /// Reduced-precision tier: the batched step on float panels, with the
-  /// packed gate blocks lazily converted to f32 (bf16-rounded when
-  /// `storage` is kBf16) and version-checked like the f64 packs. Gates run
-  /// in f32 arithmetic.
-  void forward_values_batch(const float* h, const float* x, float* h_out,
-                            std::size_t n, Scratch& scratch,
-                            DType storage) const;
+  /// row-major [hidden x n] panels, `x` a [input x n] panel; for
+  /// T = double, column j is bit-identical to forward_values_reference on
+  /// column j (pinned by plan_test) and `storage` is ignored. T = float is
+  /// the reduced-precision tier: the packs through F32Copy for `storage`,
+  /// gates in f32 arithmetic. `h_out` must not alias `h` or `x`.
+  template <class T>
+  void forward_values_batch(const T* h, const T* x, T* h_out, std::size_t n,
+                            Scratch& scratch, DType storage) const;
 
   std::size_t input_size() const { return input_; }
   std::size_t hidden_size() const { return hidden_; }
@@ -207,9 +214,6 @@ class GruCell : public Module {
   /// Re-packs wi/wh/bi/bh from the twelve parameters when any parameter
   /// version changed (optimizer step, deserialization, gradcheck nudges).
   void ensure_packed() const;
-  /// Converts the packed blocks to the f32 tier (own staleness tracking:
-  /// a process may run both tiers against one cell).
-  void ensure_packed_f32(DType storage) const;
 
   std::size_t input_, hidden_;
   Var w_ir_, w_iz_, w_in_;
@@ -220,17 +224,13 @@ class GruCell : public Module {
   // Stacked inference blocks in gate order [r; z; n]: wi_pack_ is
   // [3H x input], wh_pack_ [3H x hidden], bi_pack_/bh_pack_ [3H]. Packed
   // lazily on first batched call and re-packed when a parameter's node
-  // version moves (Var::mutable_value is the only mutation funnel).
+  // version moves (Var::mutable_value is the only mutation funnel). Each
+  // re-pack bumps pack_generation_ (0: never packed), the version the f32
+  // copies of the packs are checked against.
   mutable std::vector<double> wi_pack_, wh_pack_, bi_pack_, bh_pack_;
   mutable std::array<std::uint64_t, 12> pack_versions_{};
-  mutable bool packed_ = false;
-
-  // f32 tier of the same packs (bf16-rounded when requested).
-  mutable std::vector<float> wi_pack_f32_, wh_pack_f32_;
-  mutable std::vector<float> bi_pack_f32_, bh_pack_f32_;
-  mutable std::array<std::uint64_t, 12> pack_versions_f32_{};
-  mutable DType f32_storage_ = DType::kF32;
-  mutable bool packed_f32_ = false;
+  mutable std::uint64_t pack_generation_ = 0;
+  mutable F32Copy wi_f32_, wh_f32_, bi_f32_, bh_f32_;
 };
 
 }  // namespace chainnet::tensor
