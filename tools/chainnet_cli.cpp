@@ -65,6 +65,8 @@
 // --metrics-port also takes -1, which disables the metrics listener.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
+#include <netinet/in.h>
+
 #include <algorithm>
 #include <climits>
 #include <cmath>
@@ -99,6 +101,7 @@
 #include "runtime/thread_pool.h"
 #include "search/optimizer.h"
 #include "serve/client.h"
+#include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "serve/server.h"
@@ -741,6 +744,13 @@ int cmd_route(const Args& args) {
     serve::BackendAddress addr;
     addr.host = entry.substr(0, colon);
     addr.port = parse_port("backends", entry.substr(colon + 1));
+    // The router only ever connects to IPv4 literals (and localhost): a
+    // host it cannot parse would fail every connect, so reject it here.
+    sockaddr_in resolved{};
+    if (!serve::ipv4_address(addr.host, addr.port, resolved)) {
+      throw UsageError("--backends host '" + addr.host +
+                       "' is not a dotted-quad IPv4 address or localhost");
+    }
     config.backends.push_back(std::move(addr));
   }
   if (config.backends.empty()) {
