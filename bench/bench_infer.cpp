@@ -22,13 +22,17 @@
 //      fixed-step SA objective-at-budget comparison f32 vs f64. The gate
 //      FAILS the bench (exit 1) when agreement or the SA objective drops
 //      below the committed thresholds — a reduced tier that misorders
-//      neighbors is a silent search-quality regression, not a speedup.
+//      neighbors is a silent search-quality regression, not a speedup;
+//   7. per-width kernel table: kernels::gemm alone on the stacked phi_c
+//      input pack (192 x 128 at hidden 64) for widths n from 1 to 384,
+//      f64 and f32, at the active ISA — the layer under every replay.
 //
 // Replay and the interpreted walk are timed as interleaved repetitions
 // (replay, interpreted, replay, ...) so host drift lands on both sides
 // alike; each side reports the median and quartiles of its per-repetition
-// rates. Results print to stdout and are written machine-readable to
-// BENCH_infer.json (override with CHAINNET_INFER_OUT).
+// rates; the kernel table interleaves its cells the same way. Results
+// print to stdout and are written machine-readable to BENCH_infer.json
+// (override with CHAINNET_INFER_OUT).
 //
 //   CHAINNET_INFER_DEVICES   problem size (default 16)
 //   CHAINNET_INFER_SECONDS   min seconds per timed loop or per
@@ -166,6 +170,88 @@ std::vector<edge::Placement> walk_placements(const edge::EdgeSystem& system,
     placements.push_back(current);
   }
   return placements;
+}
+
+/// Section 7: every (dtype, n) cell of the kernel table runs once per
+/// repetition, in a fixed order, until each has min_reps samples and the
+/// table has run min_seconds; a sample times enough back-to-back calls to
+/// last about 100 us. Calls only the public kernels:: API.
+support::Json kernel_table(double min_seconds) {
+  constexpr std::size_t kRows = 192;  // 3H gate rows of phi_c, H = 64
+  constexpr std::size_t kCols = 128;  // its 2H message input
+  const std::size_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 33, 65,
+                                128, 384};
+  constexpr std::size_t kMaxN = 384;
+  support::Rng rng(23);
+  std::vector<double> w(kRows * kCols), b(kRows), x(kCols * kMaxN);
+  for (auto* v : {&w, &b, &x}) {
+    for (double& e : *v) e = rng.uniform(-1.0, 1.0);
+  }
+  const std::vector<float> wf(w.begin(), w.end()), bf(b.begin(), b.end()),
+      xf(x.begin(), x.end());
+  std::vector<double> y(kRows * kMaxN);
+  std::vector<float> yf(kRows * kMaxN);
+
+  struct Cell {
+    const char* dtype;
+    std::size_t n;
+    std::function<void()> call;
+    int reps = 1;
+    std::vector<double> us;
+  };
+  std::vector<Cell> cells;
+  const auto add_cells = [&](const char* dtype, const auto* wp,
+                             const auto* bp, const auto* xp, auto* yp) {
+    for (const std::size_t n : widths) {
+      const auto call = [=] {
+        tensor::kernels::gemm(wp, bp, xp, yp, kRows, kCols, n);
+      };
+      cells.push_back({dtype, n, call, 1, {}});
+    }
+  };
+  add_cells("f64", w.data(), b.data(), x.data(), y.data());
+  add_cells("f32", wf.data(), bf.data(), xf.data(), yf.data());
+  const auto seconds = [](const std::function<void()>& call, int reps) {
+    const auto start = Clock::now();
+    for (int i = 0; i < reps; ++i) call();
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  for (Cell& cell : cells) {
+    cell.call();  // warm up: packs the scratch, faults in the output
+    const double once = seconds(cell.call, 1);
+    cell.reps = static_cast<int>(std::clamp(100e-6 / once, 1.0, 1000.0));
+  }
+  constexpr std::size_t kMinReps = 101;
+  double total = 0.0;
+  for (std::size_t r = 0; r < kMinReps || total < min_seconds; ++r) {
+    for (Cell& cell : cells) {
+      const double s = seconds(cell.call, cell.reps);
+      total += s;
+      cell.us.push_back(s / cell.reps * 1e6);
+    }
+  }
+
+  std::printf("\nkernel table: gemm on the %zux%zu phi_c pack, kernels=%s\n",
+              kRows, kCols, tensor::kernels::isa());
+  std::printf("  %5s %-6s %10s %10s %10s\n", "n", "dtype", "us median",
+              "q1", "q3");
+  support::Json::Array rows;
+  for (Cell& cell : cells) {
+    const Rates us = summarize(std::move(cell.us));
+    std::printf("  %5zu %-6s %10.2f %10.2f %10.2f\n", cell.n, cell.dtype,
+                us.median, us.q1, us.q3);
+    support::Json::Object row;
+    row["dtype"] = cell.dtype;
+    row["n"] = static_cast<double>(cell.n);
+    row["us_per_call"] = rates_json(us);
+    rows.push_back(std::move(row));
+  }
+  support::Json::Object table;
+  table["rows"] = static_cast<double>(kRows);
+  table["cols"] = static_cast<double>(kCols);
+  table["kernel_isa"] = tensor::kernels::isa();
+  table["cells"] = std::move(rows);
+  return table;
 }
 
 bool same_outputs(const std::vector<gnn::ChainValues>& a,
@@ -477,6 +563,9 @@ int main() {
   const bool gate_pass = rank_f32.agreement() >= kF32RankGate &&
                          rank_bf16.agreement() >= kBf16RankGate && sa_pass;
 
+  // 7. Per-width kernel table.
+  support::Json kernels_doc = kernel_table(min_seconds);
+
   support::Json::Object doc;
   support::Json::Object config;
   config["hidden"] = cfg.hidden;
@@ -532,6 +621,7 @@ int main() {
   rp["gate_pass"] = gate_pass;
   doc["reduced_precision"] = std::move(rp);
   doc["traffic"] = std::move(traffic_rows);
+  doc["kernel_table"] = std::move(kernels_doc);
 
   std::ofstream out(out_path);
   out << support::Json(std::move(doc)).dump(2) << "\n";

@@ -13,19 +13,25 @@
 // (pinned by kernels_test, chainnet_batch_test and plan_test).
 //
 // ISA dispatch: the implementation picks, once per process, the widest
-// variant the host supports — baseline x86-64 (SSE2, no FMA), AVX2+FMA, or
-// AVX-512+FMA. The FMA variants fuse every multiply-add (one rounding)
+// table the host supports — baseline x86-64 (SSE2, no FMA), AVX2+FMA, or
+// AVX-512+FMA. The FMA tables fuse every multiply-add (one rounding)
 // uniformly across gemv, gemv_naive, and every gemm tile width, so all
 // inference paths still agree bit-for-bit on any one host; absolute values
 // differ between hosts of different ISA tiers (fused vs separate rounding),
-// which the parity tests never compare. CHAINNET_KERNEL_ISA=baseline|
-// avx2|avx512 forces a (supported) tier, e.g. to cross-check tiers; any
-// other spelling is rejected at first kernel use (validate_isa_name).
+// which the parity tests never compare — kernels_test pins each regime with
+// its own hash instead. CHAINNET_KERNEL_ISA=baseline|avx2|avx512 forces a
+// (supported) tier, e.g. to cross-check tiers; any other spelling is
+// rejected at first kernel use (validate_isa_name).
+//
+// Every table is built from one private tile template (kernels_tile.inc):
+// a gemm is a ladder of tiles, widest first, each a register width times
+// vectors per row times rows per block, and gemv is the scalar tile at four
+// rows. gemv_naive is a plain loop outside the template.
 //
 // Every kernel has an f32 overload — the reduced-precision tier
-// (tensor/dtype.h). The f32 variants keep the exact same structure and the
-// same per-element-accumulation-order guarantee at twice the lane width
-// (16 floats per zmm vs 8 doubles), so within one ISA tier the f32 blocked
+// (tensor/dtype.h). The f32 ladders run the same template at twice the lane
+// width (16 floats per zmm vs 8 doubles) with the same
+// per-element-accumulation-order guarantee, so within one ISA tier the f32
 // gemv, naive gemv, and every gemm tile width agree bit-for-bit with each
 // other — the f32 tier's internal parity oracle. f32 results are NOT
 // comparable bitwise to f64 results; that boundary is gated on ranking
@@ -37,7 +43,7 @@
 namespace chainnet::tensor::kernels {
 
 /// y[r] = (bias ? bias[r] : 0) + sum_c w[r*cols + c] * x[c].
-/// Row-blocked: kRowBlock independent accumulator chains run in parallel;
+/// Row-blocked: four independent accumulator chains run in parallel;
 /// each row's own chain stays sequential in c.
 void gemv(const double* w, const double* bias, const double* x, double* y,
           std::size_t rows, std::size_t cols);
