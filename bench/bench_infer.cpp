@@ -7,7 +7,8 @@
 //      bit-identical, which the parity gate re-checks before timing, at
 //      B=1 and in every lane of a B=32 replay;
 //   2. batched forward_values_batch aggregate placements/s for
-//      B in {1,2,4,8,16,32} over prebuilt graphs;
+//      B in {1,2,4,8,16,32} over prebuilt graphs, the f64 rows and the f32
+//      rows of section 5 timed together;
 //   3. compiled execution plans: one-time plan-compile cost at widths 1
 //      and 32;
 //   4. end-to-end surrogate objective: a scalar path (fresh build_graph
@@ -27,16 +28,17 @@
 //      input pack (192 x 128 at hidden 64) for widths n from 1 to 384,
 //      f64 and f32, at the active ISA — the layer under every replay.
 //
-// Replay and the interpreted walk are timed as interleaved repetitions
-// (replay, interpreted, replay, ...) so host drift lands on both sides
-// alike; each side reports the median and quartiles of its per-repetition
-// rates; the kernel table interleaves its cells the same way. Results
-// print to stdout and are written machine-readable to BENCH_infer.json
-// (override with CHAINNET_INFER_OUT).
+// Replay and the interpreted walk, and the twelve f64 and f32 batched rows,
+// are timed as interleaved repetitions (every body once per repetition, in
+// a fixed order) so host drift lands on every row alike; each row reports
+// the median and quartiles of its per-repetition rates, and every ratio
+// between rows is a ratio of medians. The kernel table interleaves its
+// cells the same way. Results print to stdout and are written
+// machine-readable to BENCH_infer.json (override with CHAINNET_INFER_OUT).
 //
 //   CHAINNET_INFER_DEVICES   problem size (default 16)
 //   CHAINNET_INFER_SECONDS   min seconds per timed loop or per
-//                            interleaved side (default 0.4)
+//                            interleaved row (default 0.4)
 //   CHAINNET_INFER_OUT       output JSON path (default BENCH_infer.json)
 #include <algorithm>
 #include <chrono>
@@ -45,6 +47,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -113,33 +117,34 @@ Rates summarize(std::vector<double> rates) {
   return {quantile(rates, 0.5), quantile(rates, 0.25), quantile(rates, 0.75)};
 }
 
-/// Times `a` and `b` as interleaved repetitions (a, b, a, b, ...) until
-/// each side has run at least min_reps times and min_seconds in total.
-/// Repetition r calls body(r), which evaluates `unit` placements.
-std::pair<Rates, Rates> time_interleaved(
-    double min_seconds, int unit, std::size_t min_reps,
-    const std::function<void(std::size_t)>& a,
-    const std::function<void(std::size_t)>& b) {
-  a(0);  // warm up both sides (packs weights, sizes workspaces)
-  b(0);
-  std::vector<double> rates_a, rates_b;
-  double total_a = 0.0, total_b = 0.0;
-  const auto run = [unit](const std::function<void(std::size_t)>& body,
-                          std::size_t r, std::vector<double>& rates,
-                          double& total) {
-    const auto start = Clock::now();
-    body(r);
-    const double s =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    total += s;
-    rates.push_back(unit / s);
-  };
-  for (std::size_t r = 0;
-       r < min_reps || total_a < min_seconds || total_b < min_seconds; ++r) {
-    run(a, r, rates_a, total_a);
-    run(b, r, rates_b, total_b);
+/// One timed row: body(r) evaluates `unit` placements at repetition r.
+struct Timed {
+  int unit;
+  std::function<void(std::size_t)> body;
+};
+
+/// Times the rows as interleaved repetitions: every row once per
+/// repetition, in order, until each has run min_reps times and the rows
+/// together min_seconds per row. Returns each row's rates, in order.
+std::vector<Rates> time_interleaved(double min_seconds, std::size_t min_reps,
+                                    const std::vector<Timed>& rows) {
+  std::vector<std::vector<double>> rates(rows.size());
+  for (const Timed& row : rows) row.body(0);  // warm up: packs, workspaces
+  double total = 0.0;
+  const double budget = min_seconds * static_cast<double>(rows.size());
+  for (std::size_t r = 0; r < min_reps || total < budget; ++r) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto start = Clock::now();
+      rows[i].body(r);
+      const double s =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      total += s;
+      rates[i].push_back(rows[i].unit / s);
+    }
   }
-  return {summarize(std::move(rates_a)), summarize(std::move(rates_b))};
+  std::vector<Rates> out;
+  for (auto& r : rates) out.push_back(summarize(std::move(r)));
+  return out;
 }
 
 support::Json rates_json(const Rates& r) {
@@ -326,41 +331,71 @@ int main() {
 
   // 1. Single stream: one placement per repetition, cycling through the
   //    walk; both sides of a pair score the same placement.
-  const auto [replay_b1, interp_b1] = time_interleaved(
-      min_seconds, 1, ptrs.size(),
-      [&](std::size_t r) { model.forward_values(*ptrs[r % ptrs.size()]); },
-      [&](std::size_t r) {
-        // LINT:interpret(benchmark baseline — timing the reference walk)
-        model.forward_values_interpreted(*ptrs[r % ptrs.size()]);
-      });
+  const std::vector<Rates> single_rates = time_interleaved(
+      min_seconds, ptrs.size(),
+      {{1, [&](std::size_t r) { model.forward_values(*ptrs[r % ptrs.size()]); }},
+       {1, [&](std::size_t r) {
+          // LINT:interpret(benchmark baseline — timing the reference walk)
+          model.forward_values_interpreted(*ptrs[r % ptrs.size()]);
+        }}});
+  const Rates& replay_b1 = single_rates[0];
+  const Rates& interp_b1 = single_rates[1];
   std::printf("single-stream (placements/s, median of interleaved reps)\n");
   print_rates("interpreted walk B=1", interp_b1);
   print_rates("plan replay B=1", replay_b1);
   std::printf("  replay / interpreted: %.2fx\n\n",
               replay_b1.median / interp_b1.median);
 
-  // 2. Batched forward over prebuilt graphs.
-  std::printf("batched forward_values_batch (aggregate placements/s)\n");
-  std::printf("  %5s %14s %10s\n", "B", "placements/s", "vs B=1");
-  support::Json::Array batch_rows;
-  double b1_rate = 0.0;
-  double b_last_rate = 0.0;
-  std::vector<std::pair<int, double>> f64_batch_rates;
-  for (const int b : {1, 2, 4, 8, 16, 32}) {
-    std::span<const edge::PlacementGraph* const> span(
-        ptrs.data(), static_cast<std::size_t>(b));
-    const double rate =
-        time_rate(min_seconds, b, [&] { model.forward_values_batch(span); });
-    if (b == 1) b1_rate = rate;
-    b_last_rate = rate;
-    f64_batch_rates.emplace_back(b, rate);
-    std::printf("  %5d %14.0f %9.2fx\n", b, rate, rate / b1_rate);
+  // The reduced-precision tier (section 5): the same weights (same init
+  // seed) replayed through the f32 kernel table, and a bf16-storage copy.
+  auto cfg_f32 = cfg;
+  cfg_f32.dtype = tensor::DType::kF32;
+  support::Rng init_f32(1);
+  core::ChainNet model_f32(cfg_f32, init_f32);
+  auto cfg_bf16 = cfg;
+  cfg_bf16.dtype = tensor::DType::kBf16;
+  support::Rng init_bf16(1);
+  core::ChainNet model_bf16(cfg_bf16, init_bf16);
+
+  // 2. Batched forward over prebuilt graphs: the f64 rows, then the f32
+  //    rows section 5 reports, all twelve interleaved.
+  constexpr int kBatches[] = {1, 2, 4, 8, 16, 32};
+  constexpr std::size_t kBatchRows = std::size(kBatches);
+  constexpr std::size_t kBatchReps = 9;
+  std::vector<Timed> batch_bodies;
+  for (core::ChainNet* m : {&model, &model_f32}) {
+    for (const int b : kBatches) {
+      const std::span<const edge::PlacementGraph* const> span(
+          ptrs.data(), static_cast<std::size_t>(b));
+      batch_bodies.push_back(
+          {b, [m, span](std::size_t) { m->forward_values_batch(span); }});
+    }
+  }
+  const std::vector<Rates> batch_rates =
+      time_interleaved(min_seconds, kBatchReps, batch_bodies);
+  const auto batch_row = [](int b, const Rates& r) {
     support::Json::Object row;
     row["batch"] = b;
-    row["placements_per_s"] = rate;
-    row["speedup_vs_b1"] = rate / b1_rate;
+    row["placements_per_s"] = r.median;
+    row["q1"] = r.q1;
+    row["q3"] = r.q3;
+    return row;
+  };
+  std::printf("batched forward_values_batch (aggregate placements/s, "
+              "median of interleaved reps)\n");
+  std::printf("  %5s %14s %10s %10s %10s\n", "B", "placements/s", "q1", "q3",
+              "vs B=1");
+  support::Json::Array batch_rows;
+  const double b1_rate = batch_rates[0].median;
+  for (std::size_t i = 0; i < kBatchRows; ++i) {
+    const Rates& r = batch_rates[i];
+    std::printf("  %5d %14.1f %10.1f %10.1f %9.2fx\n", kBatches[i], r.median,
+                r.q1, r.q3, r.median / b1_rate);
+    support::Json::Object row = batch_row(kBatches[i], r);
+    row["speedup_vs_b1"] = r.median / b1_rate;
     batch_rows.push_back(std::move(row));
   }
+  const double b_last_rate = batch_rates[kBatchRows - 1].median;
   const double b32_vs_b1 = b_last_rate / b1_rate;
 
   // 3. Compiled execution plans: one-time compile cost per width, measured
@@ -414,45 +449,29 @@ int main() {
               "batched B=32 (workspace reuse)", e2e_batched,
               e2e_batched / e2e_scalar);
 
-  // 5. Reduced-precision tier: the same weights (same init seed) replayed
-  //    through the f32 kernel table. Rates per batch width, and the
-  //    headline f32-B32 vs f64-B32 ratio the acceptance bar pins.
-  auto cfg_f32 = cfg;
-  cfg_f32.dtype = tensor::DType::kF32;
-  support::Rng init_f32(1);
-  core::ChainNet model_f32(cfg_f32, init_f32);
-  auto cfg_bf16 = cfg;
-  cfg_bf16.dtype = tensor::DType::kBf16;
-  support::Rng init_bf16(1);
-  core::ChainNet model_bf16(cfg_bf16, init_bf16);
-
+  // 5. Reduced-precision tier: f32 single stream, the f32 batched rows
+  //    timed in section 2, and the headline f32-B32 vs f64-B32 ratio the
+  //    acceptance bar pins.
   const double f32_single_rate = time_rate(min_seconds, kBatchMax, [&] {
     for (const auto* g : ptrs) model_f32.forward_values(*g);
   });
   std::printf("\nreduced-precision tier: f32 kernels + converted weights\n");
   std::printf("  single-stream %10.0f placements/s  (%.2fx vs f64)\n",
               f32_single_rate, f32_single_rate / replay_b1.median);
-  std::printf("  %5s %14s %12s\n", "B", "placements/s", "vs f64");
+  std::printf("  %5s %14s %10s %10s %12s\n", "B", "placements/s", "q1", "q3",
+              "vs f64");
   support::Json::Array f32_batch_rows;
-  std::vector<std::pair<int, double>> f32_batch_rates;
-  double f32_b32_rate = 0.0;
-  for (std::size_t bi = 0; bi < f64_batch_rates.size(); ++bi) {
-    const int b = f64_batch_rates[bi].first;
-    std::span<const edge::PlacementGraph* const> span(
-        ptrs.data(), static_cast<std::size_t>(b));
-    const double rate = time_rate(
-        min_seconds, b, [&] { model_f32.forward_values_batch(span); });
-    f32_batch_rates.emplace_back(b, rate);
-    if (b == kBatchMax) f32_b32_rate = rate;
-    const double vs = rate / f64_batch_rates[bi].second;
-    std::printf("  %5d %14.0f %11.2fx\n", b, rate, vs);
-    support::Json::Object row;
-    row["batch"] = b;
-    row["placements_per_s"] = rate;
+  for (std::size_t i = 0; i < kBatchRows; ++i) {
+    const Rates& r = batch_rates[kBatchRows + i];
+    const double vs = r.median / batch_rates[i].median;
+    std::printf("  %5d %14.1f %10.1f %10.1f %11.2fx\n", kBatches[i], r.median,
+                r.q1, r.q3, vs);
+    support::Json::Object row = batch_row(kBatches[i], r);
     row["speedup_vs_f64"] = vs;
     f32_batch_rows.push_back(std::move(row));
   }
-  const double f32_vs_f64_b32 = f32_b32_rate / b_last_rate;
+  const double f32_vs_f64_b32 =
+      batch_rates[2 * kBatchRows - 1].median / b_last_rate;
   std::printf("  f32 B=32 vs f64 B=32: %.2fx\n", f32_vs_f64_b32);
 
   // Analytic traffic estimate: each parameter streamed once per
@@ -489,11 +508,13 @@ int main() {
   std::printf("  %-5s %5s %14s %15s %10s\n", "dtype", "B", "placements/s",
               "est bytes/pl", "eff GB/s");
   support::Json::Array traffic_rows;
-  for (const auto& [b, rate] : f64_batch_rates) {
-    traffic_row(tensor::DType::kF64, b, rate, traffic_rows);
+  for (std::size_t i = 0; i < kBatchRows; ++i) {
+    traffic_row(tensor::DType::kF64, kBatches[i], batch_rates[i].median,
+                traffic_rows);
   }
-  for (const auto& [b, rate] : f32_batch_rates) {
-    traffic_row(tensor::DType::kF32, b, rate, traffic_rows);
+  for (std::size_t i = 0; i < kBatchRows; ++i) {
+    traffic_row(tensor::DType::kF32, kBatches[i],
+                batch_rates[kBatchRows + i].median, traffic_rows);
   }
 
   // 6. Ranking-fidelity gate. The committed thresholds: the reduced tiers

@@ -64,23 +64,34 @@ struct Xmm32 {
   static V bcast(T t) { return _mm_set1_ps(t); }
   static V madd(V w, V x, V acc) { return _mm_add_ps(acc, _mm_mul_ps(w, x)); }
 };
+
+// Two floats in the low half of an xmm register (one 64-bit load and
+// store; the upper lanes load as zero and are never stored).
+struct Xmm32x2 : Xmm32 {
+  static constexpr std::size_t kLanes = 2;
+  static V load(const T* p) { return _mm_castsi128_ps(_mm_loadu_si64(p)); }
+  static void store(T* p, V v) { _mm_storeu_si64(p, _mm_castps_si128(v)); }
+};
 #else
 // Other architectures: the same chains in scalar "registers" (narrower
 // tiles).
 using Xmm64 = Scalar<double>;
 using Xmm32 = Scalar<float>;
+using Xmm32x2 = Scalar<float>;
 #endif
 
 #include "tensor/kernels_tile.inc"
 
-// The portability reference, not the perf target: top tiles of four xmm
-// registers (8 doubles or 16 floats), one row per block.
-using Gemm64 = GemmLadder<GemmTile<Xmm64, 4, 1>, GemmTile<Xmm64, 2, 1>,
-                          GemmTile<Xmm64, 1, 1>,
-                          GemmTile<Scalar<double>, 1, 1>>;
-using Gemm32 = GemmLadder<GemmTile<Xmm32, 4, 1>, GemmTile<Xmm32, 2, 1>,
-                          GemmTile<Xmm32, 1, 1>,
-                          GemmTile<Scalar<float>, 1, 1>>;
+// The portability reference, not the perf target. Sixteen xmm registers
+// and no FMA (madd needs a temporary): the four-register top tile blocks
+// two rows, the two-register tile four, and each one-register tile and
+// the scalar tile eight, all sharing one load of x per block.
+using Gemm64 = GemmLadder<GemmTile<Xmm64, 4, 2>, GemmTile<Xmm64, 2, 4>,
+                          GemmTile<Xmm64, 1, 8>,
+                          GemmTile<Scalar<double>, 1, 8>>;
+using Gemm32 = GemmLadder<GemmTile<Xmm32, 4, 2>, GemmTile<Xmm32, 2, 4>,
+                          GemmTile<Xmm32, 1, 8>, GemmTile<Xmm32x2, 1, 8>,
+                          GemmTile<Scalar<float>, 1, 8>>;
 
 constinit const KernelTable table = make_table<Gemm64, Gemm32>("baseline");
 

@@ -12,14 +12,17 @@ namespace chainnet::tensor::kernels::detail::avx2 {
 #include "tensor/kernels_fma.inc"
 #include "tensor/kernels_tile.inc"
 
-// Top tiles of four registers; f32 blocks two rows in the top tile and
-// four below it, since one f32 row runs half the FMA chains per byte of x.
-using Gemm64 = GemmLadder<GemmTile<Ymm64, 4, 1>, GemmTile<Ymm64, 2, 1>,
-                          GemmTile<Ymm64, 1, 1>, GemmTile<Xmm64, 1, 1>,
-                          GemmTile<Scalar<double>, 1, 1>>;
+// Sixteen ymm registers: the four-register top tiles block two rows (8
+// accumulators, 4 of x), the two-register tiles four, and each
+// one-register tile and the scalar tile eight, all sharing one load of x
+// per block.
+using Gemm64 = GemmLadder<GemmTile<Ymm64, 4, 2>, GemmTile<Ymm64, 2, 4>,
+                          GemmTile<Ymm64, 1, 8>, GemmTile<Xmm64, 1, 8>,
+                          GemmTile<Scalar<double>, 1, 8>>;
 using Gemm32 = GemmLadder<GemmTile<Ymm32, 4, 2>, GemmTile<Ymm32, 2, 4>,
-                          GemmTile<Ymm32, 1, 4>, GemmTile<Xmm32, 1, 1>,
-                          GemmTile<Scalar<float>, 1, 1>>;
+                          GemmTile<Ymm32, 1, 8>, GemmTile<Xmm32, 1, 8>,
+                          GemmTile<Xmm32x2, 1, 8>,
+                          GemmTile<Scalar<float>, 1, 8>>;
 
 constinit const KernelTable table = make_table<Gemm64, Gemm32>("avx2");
 

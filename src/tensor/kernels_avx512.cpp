@@ -13,15 +13,18 @@ namespace chainnet::tensor::kernels::detail::avx512 {
 #include "tensor/kernels_fma.inc"
 #include "tensor/kernels_tile.inc"
 
-// As the AVX2 ladders one register width up, then down through ymm and xmm.
-using Gemm64 = GemmLadder<GemmTile<Zmm64, 4, 1>, GemmTile<Zmm64, 2, 1>,
-                          GemmTile<Zmm64, 1, 1>, GemmTile<Ymm64, 1, 1>,
-                          GemmTile<Xmm64, 1, 1>,
-                          GemmTile<Scalar<double>, 1, 1>>;
-using Gemm32 = GemmLadder<GemmTile<Zmm32, 4, 2>, GemmTile<Zmm32, 2, 4>,
-                          GemmTile<Zmm32, 1, 4>, GemmTile<Ymm32, 1, 4>,
-                          GemmTile<Xmm32, 1, 1>,
-                          GemmTile<Scalar<float>, 1, 1>>;
+// Thirty-two zmm registers: the four-register top tiles block six rows (24
+// accumulators, 4 of x), the two-register tiles eight, and so does every
+// narrower tile down through ymm, xmm and scalar, all sharing one load of
+// x per block.
+using Gemm64 = GemmLadder<GemmTile<Zmm64, 4, 6>, GemmTile<Zmm64, 2, 8>,
+                          GemmTile<Zmm64, 1, 8>, GemmTile<Ymm64, 1, 8>,
+                          GemmTile<Xmm64, 1, 8>,
+                          GemmTile<Scalar<double>, 1, 8>>;
+using Gemm32 = GemmLadder<GemmTile<Zmm32, 4, 6>, GemmTile<Zmm32, 2, 8>,
+                          GemmTile<Zmm32, 1, 8>, GemmTile<Ymm32, 1, 8>,
+                          GemmTile<Xmm32, 1, 8>, GemmTile<Xmm32x2, 1, 8>,
+                          GemmTile<Scalar<float>, 1, 8>>;
 
 constinit const KernelTable table = make_table<Gemm64, Gemm32>("avx512");
 

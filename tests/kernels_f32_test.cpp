@@ -87,11 +87,12 @@ void expect_gemm_matches_gemv(std::size_t rows, std::size_t cols,
 }
 
 TEST(KernelsF32, GemmColumnsMatchGemvBitExact) {
-  // n sweeps every f32 tile width (64/32/16/8/4 plus scalar remainders)
-  // with remainders on both sides of each boundary; n > 64 additionally
-  // exercises the packed-panel path. Rows sweep the 2- and 4-row block
-  // remainders the row-blocked tiles introduce.
-  for (const std::size_t rows : {1u, 6u, 7u, 9u, 17u, 192u}) {
+  // n sweeps every f32 tile width (64/32/16/8/4/2/1) with remainders on
+  // both sides of each boundary; n > 64 additionally exercises the
+  // packed-panel path. Rows cover k-1, k, k+1 and 2k-1 for every
+  // rows-per-block k the ladders use (2, 4, 6 and 8).
+  for (const std::size_t rows :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u, 15u, 17u, 192u}) {
     for (const std::size_t n :
          {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 48u,
           63u, 64u, 65u, 89u, 128u}) {

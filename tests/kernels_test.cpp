@@ -76,9 +76,12 @@ void expect_gemm_matches_gemv(std::size_t rows, std::size_t cols,
 TEST(Kernels, GemmColumnsMatchGemvBitExact) {
   // n sweeps every tile width (32/16/8/4/2/1) with remainders on both sides
   // of each boundary; n > the top tile width additionally exercises the
-  // packed-panel path of the wide tiles. Rows sweep the row-block
-  // remainders (1, 2 and 4 rows per block) up to a stacked GRU gate panel.
-  for (const std::size_t rows : {1u, 6u, 7u, 9u, 17u, 192u}) {
+  // packed-panel path of the wide tiles. Rows cover k-1, k, k+1 and 2k-1
+  // for every rows-per-block k the ladders use (2, 4, 6 and 8: a short
+  // block, a full one, one with a single remainder row, and the longest
+  // remainder after a full block), up to a stacked GRU gate panel.
+  for (const std::size_t rows :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u, 15u, 17u, 192u}) {
     for (const std::size_t n :
          {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 40u,
           64u, 89u}) {
